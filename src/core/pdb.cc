@@ -208,9 +208,34 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
   std::optional<PlanBounds> bounds;
   if (as_ucq.ok() && as_ucq->size() == 1 &&
       as_ucq->disjuncts()[0].IsSelfJoinFree()) {
-    auto computed = ComputePlanBounds(as_ucq->disjuncts()[0], db_);
+    // The bounds re-enumerate the matches through the session's index
+    // cache, outside the query's own match and join-plan accounting.
+    ExecContext bounds_ctx;
+    if (ctx != nullptr) bounds_ctx.set_index_cache(ctx->index_cache());
+    GroundingOptions grounding;
+    grounding.exec = &bounds_ctx;
+    auto computed = ComputePlanBounds(as_ucq->disjuncts()[0], db_,
+                                      /*max_vars=*/7, grounding);
     if (computed.ok()) bounds = *computed;
   }
+  // Tightens a sampled answer to the guaranteed plan bounds and keeps the
+  // estimate inside its own interval (Karp-Luby estimates are unclamped and
+  // can exceed 1). Should the sampling interval miss the plan bounds
+  // altogether, the guaranteed bounds win.
+  auto apply_bounds = [&bounds](QueryAnswer* a) {
+    if (bounds.has_value()) {
+      a->lower = std::max(a->lower, bounds->lower);
+      a->upper = std::min(a->upper, bounds->upper);
+      if (a->lower > a->upper) {
+        a->lower = bounds->lower;
+        a->upper = bounds->upper;
+      }
+      a->explanation += StrFormat("; plan bounds [%.6g, %.6g] over %zu plans",
+                                  bounds->lower, bounds->upper,
+                                  bounds->num_plans);
+    }
+    a->probability = std::clamp(a->probability, a->lower, a->upper);
+  };
   if (options.allow_monte_carlo && as_ucq.ok()) {
     // UCQ lineages are monotone DNFs: Karp-Luby gives relative-error
     // guarantees independent of how small the probability is.
@@ -236,23 +261,17 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
         mc_span.AddCounter("dnf_terms", dnf->terms.size());
         answer.std_error = estimate->std_error;
         answer.probability = estimate->value;
-        answer.lower =
-            std::max(0.0, estimate->value - 2.0 * estimate->std_error);
-        answer.upper =
-            std::min(1.0, estimate->value + 2.0 * estimate->std_error);
+        answer.lower = std::clamp(
+            estimate->value - 2.0 * estimate->std_error, 0.0, 1.0);
+        answer.upper = std::clamp(
+            estimate->value + 2.0 * estimate->std_error, 0.0, 1.0);
         answer.method = InferenceMethod::kMonteCarlo;
         answer.exact = false;
         answer.explanation = fallback_note + StrFormat(
             "Karp-Luby: %llu samples over %zu DNF terms, stderr %.2g",
             static_cast<unsigned long long>(estimate->samples),
             dnf->terms.size(), estimate->std_error);
-        if (bounds.has_value()) {
-          answer.lower = std::max(answer.lower, bounds->lower);
-          answer.upper = std::min(answer.upper, bounds->upper);
-          answer.explanation += StrFormat(
-              "; plan bounds [%.6g, %.6g] over %zu plans", bounds->lower,
-              bounds->upper, bounds->num_plans);
-        }
+        apply_bounds(&answer);
         // Free the (failed) exact solver inside the open span — see the
         // comment at `mgr`'s declaration.
         counter.reset();
@@ -270,21 +289,17 @@ Result<QueryAnswer> ProbDatabase::QueryFoWithContext(
     mc_span.AddCounter("samples", estimate.samples);
     answer.std_error = estimate.std_error;
     answer.probability = estimate.value;
-    answer.lower = std::max(0.0, estimate.value - 2.0 * estimate.std_error);
-    answer.upper = std::min(1.0, estimate.value + 2.0 * estimate.std_error);
+    answer.lower =
+        std::clamp(estimate.value - 2.0 * estimate.std_error, 0.0, 1.0);
+    answer.upper =
+        std::clamp(estimate.value + 2.0 * estimate.std_error, 0.0, 1.0);
     answer.method = InferenceMethod::kMonteCarlo;
     answer.exact = false;
     answer.explanation = fallback_note + StrFormat(
         "Monte Carlo: %llu samples, stderr %.2g",
         static_cast<unsigned long long>(estimate.samples),
         estimate.std_error);
-    if (bounds.has_value()) {
-      answer.lower = std::max(answer.lower, bounds->lower);
-      answer.upper = std::min(answer.upper, bounds->upper);
-      answer.explanation += StrFormat(
-          "; plan bounds [%.6g, %.6g] over %zu plans", bounds->lower,
-          bounds->upper, bounds->num_plans);
-    }
+    apply_bounds(&answer);
     counter.reset();
     mgr.reset();
     return answer;

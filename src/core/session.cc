@@ -859,10 +859,12 @@ Result<ExplainResult> Session::ExplainSql(const std::string& sql,
   out.boolean = compiled.boolean;
   FoPtr sentence = Ucq({compiled.cq}).ToFo();
 
-  // Safety check = the lifted compiler itself: it either produces a
-  // polynomial extensional plan (and, being polynomial, cheaply evaluates
-  // it) or rejects the sentence as unsafe with the reason. This mirrors
-  // exactly the routing gate in ProbDatabase::QueryFoWithContext.
+  // Safety check = the routing gate of ProbDatabase::QueryFoWithContext,
+  // through the same call: LiftedProbabilityFo rejects a CQ that Theorem
+  // 4.3 proves unsafe from its syntax (SyntacticSafetyGate), and otherwise
+  // the lifted compiler either produces a polynomial extensional plan (and,
+  // being polynomial, cheaply evaluates it) or rejects the sentence as
+  // unsafe with the reason. EXPLAIN and execution cannot disagree.
   {
     auto lifted = LiftedProbabilityFo(sentence, db_->database(),
                                       options.lifted);

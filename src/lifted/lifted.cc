@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "lifted/safety.h"
 #include "logic/containment.h"
 #include "util/check.h"
 #include "util/string_util.h"
@@ -470,6 +471,8 @@ Result<double> LiftedProbability(const Ucq& ucq, const Database& db,
 Result<double> LiftedProbabilityFo(const FoPtr& sentence, const Database& db,
                                    LiftedOptions options,
                                    LiftedStats* stats) {
+  // Rejects provably unsafe CQs before the rewrite copies the database.
+  PDB_RETURN_NOT_OK(SyntacticSafetyGate(sentence, db));
   PDB_ASSIGN_OR_RETURN(UnateRewrite rewrite, RewriteUnateForUcq(sentence, db));
   LiftedEngine engine(rewrite.database, options);
   Result<double> result = engine.Compute(rewrite.ucq);

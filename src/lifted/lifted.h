@@ -112,7 +112,8 @@ Result<double> LiftedProbability(const Ucq& ucq, const Database& db,
 /// Probability of a unate FO sentence with a pure ∃*/∀* quantifier
 /// structure (Theorem 4.1's class): rewrites negated symbols to complement
 /// relations and universal sentences through their negation, then runs the
-/// lifted engine.
+/// lifted engine. A CQ that SyntacticSafetyGate (lifted/safety.h) proves
+/// unsafe is rejected Unsupported before the rewrite touches the data.
 Result<double> LiftedProbabilityFo(const FoPtr& sentence, const Database& db,
                                    LiftedOptions options = {},
                                    LiftedStats* stats = nullptr);

@@ -26,6 +26,35 @@ Result<QueryComplexity> ClassifySelfJoinFreeCq(const ConjunctiveQuery& cq) {
                             : QueryComplexity::kSharpPHard;
 }
 
+Status SyntacticSafetyGate(const FoPtr& sentence, const Database& db) {
+  if (!sentence->FreeVariables().empty()) return Status::OK();
+  auto ucq = FoToUcq(sentence);
+  if (!ucq.ok() || ucq->size() != 1) return Status::OK();
+  const ConjunctiveQuery& cq = ucq->disjuncts()[0];
+  auto complexity = ClassifySelfJoinFreeCq(cq);
+  if (!complexity.ok() || *complexity != QueryComplexity::kSharpPHard) {
+    return Status::OK();
+  }
+  // With a root variable the rules ground it and recurse, and the data
+  // decides what the recursion meets; several components (a ground atom is
+  // one of its own) are evaluated one by one, so an earlier component's
+  // outcome comes first.
+  if (VariableConnectedComponents(cq).size() != 1 ||
+      !RootVariables(cq).empty()) {
+    return Status::OK();
+  }
+  for (const Atom& atom : cq.atoms()) {
+    auto rel = db.Get(atom.predicate);
+    if (!rel.ok() || (*rel)->arity() != atom.arity() || (*rel)->empty()) {
+      return Status::OK();
+    }
+  }
+  return Status::Unsupported(
+      StrFormat("%s is not hierarchical: #P-hard self-join-free CQ "
+                "(Theorem 4.3)",
+                cq.ToString().c_str()));
+}
+
 Result<Database> CanonicalDatabase(const Ucq& ucq, size_t domain_size) {
   // Collect predicate arities, checking consistency.
   std::map<std::string, size_t> arity;

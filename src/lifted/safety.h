@@ -30,6 +30,19 @@ const char* QueryComplexityToString(QueryComplexity c);
 /// InvalidArgument if the CQ has self-joins.
 Result<QueryComplexity> ClassifySelfJoinFreeCq(const ConjunctiveQuery& cq);
 
+/// The engine's routing gate, shared by query execution and EXPLAIN through
+/// LiftedProbabilityFo. Returns Unsupported, with the reason, when
+/// `sentence` is a self-join-free CQ that Theorem 4.3 calls #P-hard *and*
+/// the lifted rules fail on it whatever `db` holds: one variable-connected
+/// component with no root variable, no ground atom, and every relation
+/// present, of the right arity and non-empty. The rules then fail at their
+/// first step, so the answer is known from the syntax alone, without the
+/// rewrite's database copy. Returns OK otherwise — UCQs, self-joins,
+/// negation, universals, and CQs whose data could still decide the answer
+/// (an empty relation, a ground atom, a separator whose support is empty)
+/// — and the lifted attempt itself is the safety check.
+Status SyntacticSafetyGate(const FoPtr& sentence, const Database& db);
+
 /// True iff the lifted rules compute this UCQ (=> PQE in PTIME).
 bool IsSafeUcq(const Ucq& ucq, LiftedOptions options = {});
 

@@ -9,23 +9,20 @@
 ///
 /// `ComputePlanBounds` evaluates all elimination-order plans and returns the
 /// tightest pair (min of uppers, max of lowers), plus the safe-plan value
-/// when the query is hierarchical.
+/// when the query is hierarchical. Plans only read the rows that occur in
+/// some match of the query, so the work follows the lineage, not the size
+/// of the database.
 
 #ifndef PDB_PLANS_BOUNDS_H_
 #define PDB_PLANS_BOUNDS_H_
 
 #include <optional>
 
+#include "boolean/lineage.h"
 #include "plans/enumerate.h"
 #include "plans/plan.h"
 
 namespace pdb {
-
-/// The dissociated database D1 for `cq` over `db`: every tuple probability
-/// p becomes 1 - (1-p)^{1/k} where k is the number of DNF lineage terms the
-/// tuple occurs in (tuples outside the lineage keep their probability).
-Result<Database> DissociateForLowerBound(const ConjunctiveQuery& cq,
-                                         const Database& db);
 
 /// Result of the bound computation.
 struct PlanBounds {
@@ -37,9 +34,11 @@ struct PlanBounds {
 };
 
 /// Evaluates all plans (bounded enumeration) to produce the tightest
-/// oblivious bounds for a self-join-free Boolean CQ.
+/// oblivious bounds for a self-join-free Boolean CQ. `grounding` drives the
+/// match enumeration (its context's index cache, when it has one).
 Result<PlanBounds> ComputePlanBounds(const ConjunctiveQuery& cq,
-                                     const Database& db, size_t max_vars = 7);
+                                     const Database& db, size_t max_vars = 7,
+                                     const GroundingOptions& grounding = {});
 
 }  // namespace pdb
 

@@ -43,6 +43,14 @@ uint32_t ColumnarRelation::CodeOf(size_t col, const Value& value) const {
   return static_cast<uint32_t>(it - dict.begin());
 }
 
+size_t ColumnarRelation::CompositeDistinct(
+    const std::vector<size_t>& key_cols) const {
+  std::lock_guard<std::mutex> lock(composite_mu_);
+  auto [it, inserted] = composite_memo_.try_emplace(key_cols, 0);
+  if (inserted) it->second = DistinctComposite(*this, key_cols);
+  return it->second;
+}
+
 std::vector<uint32_t> BuildCodeTranslation(const std::vector<Value>& src,
                                            const std::vector<Value>& dst) {
   std::vector<uint32_t> xlat(src.size(), ColumnarRelation::kNoCode);

@@ -29,7 +29,9 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <unordered_map>
 #include <vector>
 
@@ -40,7 +42,8 @@ namespace pdb {
 class Relation;
 
 /// Dictionary-encoded, column-major image of one relation. Immutable once
-/// built; safe to share across threads.
+/// built (apart from the internally locked statistics memo); safe to share
+/// across threads.
 class ColumnarRelation {
  public:
   /// Sentinel for "value not in this column's dictionary". Never a valid
@@ -70,6 +73,12 @@ class ColumnarRelation {
   /// Code of `value` in `col`'s dictionary, or kNoCode when absent.
   uint32_t CodeOf(size_t col, const Value& value) const;
 
+  /// DistinctComposite(*this, key_cols), memoized per key-column list. The
+  /// cost-based join order asks for the same counts on every query; the
+  /// scan runs once per image, and `Relation::AddTuple` drops the image
+  /// together with its memo. Thread-safe.
+  size_t CompositeDistinct(const std::vector<size_t>& key_cols) const;
+
  private:
   struct Column {
     std::vector<Value> dict;      // sorted ascending
@@ -78,6 +87,8 @@ class ColumnarRelation {
 
   std::vector<Column> columns_;
   size_t num_rows_ = 0;
+  mutable std::mutex composite_mu_;
+  mutable std::map<std::vector<size_t>, size_t> composite_memo_;
 };
 
 /// Translation table from `src` dictionary codes to `dst` dictionary codes:

@@ -17,12 +17,14 @@
 #include <cmath>
 
 #include "boolean/lineage.h"
+#include "core/pdb.h"
 #include "exec/context.h"
 #include "exec/thread_pool.h"
 #include "kc/obdd.h"
 #include "kc/order.h"
 #include "kc/trace_compiler.h"
 #include "lifted/lifted.h"
+#include "logic/parser.h"
 #include "test_common.h"
 #include "wmc/dpll.h"
 #include "wmc/enumeration.h"
@@ -218,6 +220,62 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DifferentialConsistency,
                          ::testing::Range<uint64_t>(0, 8));
+
+// Answer contract on the approximate paths: with exact inference forced
+// to give up, every answer keeps its estimate inside its own interval,
+// 0 <= lower <= probability <= upper <= 1, whether the interval comes from
+// Karp-Luby, naive Monte Carlo, the plan bounds, or their intersection.
+// Few samples make the estimates noisy enough to cross the plan bounds.
+TEST(AnswerContract, EstimateStaysInsideItsIntervalWhenFallbackIsForced) {
+  const std::vector<std::string> negated = {
+      "exists x exists y (A(x) & !C(x,y) & B(y))",
+      "forall x forall y (C(x,y) => A(x))"};
+  size_t answers = 0;
+  for (uint64_t seed = 0; seed < 60; ++seed) {
+    Rng rng(seed * 2903 + 17);
+    ProbDatabase pdb(testing::RandomSelfJoinFreeDb(&rng));
+    std::vector<FoPtr> sentences;
+    for (int i = 0; i < 4; ++i) {
+      sentences.push_back(
+          Ucq({testing::RandomSelfJoinFreeCq(&rng)}).ToFo());
+    }
+    sentences.push_back(
+        Ucq({testing::RandomSelfJoinFreeCq(&rng, 0.0),
+             testing::RandomSelfJoinFreeCq(&rng, 0.0)})
+            .ToFo());
+    for (const std::string& text : negated) {
+      auto parsed = ParseFo(text);
+      ASSERT_TRUE(parsed.ok()) << text;
+      sentences.push_back(*parsed);
+    }
+    for (const FoPtr& sentence : sentences) {
+      for (bool allow_monte_carlo : {true, false}) {
+        for (uint64_t samples : {8u, 64u, 512u}) {
+          QueryOptions options;
+          options.prefer_lifted = false;
+          options.max_dpll_decisions = 0;
+          options.allow_monte_carlo = allow_monte_carlo;
+          options.monte_carlo_samples = samples;
+          options.monte_carlo_seed = seed * 31 + samples;
+          auto answer = pdb.QueryFo(sentence, options);
+          if (!answer.ok()) {
+            // Without sampling, only a self-join-free CQ has plan bounds.
+            EXPECT_EQ(answer.status().code(), StatusCode::kResourceExhausted);
+            continue;
+          }
+          SCOPED_TRACE(sentence->ToString() + " seed " +
+                       std::to_string(seed));
+          EXPECT_LE(0.0, answer->lower);
+          EXPECT_LE(answer->lower, answer->probability);
+          EXPECT_LE(answer->probability, answer->upper);
+          EXPECT_LE(answer->upper, 1.0);
+          ++answers;
+        }
+      }
+    }
+  }
+  EXPECT_GT(answers, 2000u);
+}
 
 }  // namespace
 }  // namespace pdb

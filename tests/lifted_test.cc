@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "boolean/lineage.h"
+#include "core/pdb.h"
 #include "lifted/lifted.h"
 #include "lifted/safety.h"
 #include "logic/parser.h"
@@ -339,6 +340,152 @@ TEST(LiftedTest, TraceRecordsRules) {
     if (line.find("separator") != std::string::npos) saw_separator = true;
   }
   EXPECT_TRUE(saw_separator);
+}
+
+// ---------------------------------------------------------------------------
+// Routing gate: same answers as always attempting the lifted rules first
+// ---------------------------------------------------------------------------
+
+// The answer of the engine without the syntactic gate: the unate rewrite
+// and the lifted rules on every sentence, then — when they fail
+// Unsupported — the grounded path exactly as QueryFo runs it.
+Result<QueryAnswer> AlwaysLiftedFirst(const ProbDatabase& pdb,
+                                      const FoPtr& sentence,
+                                      const QueryOptions& options) {
+  auto rewrite = RewriteUnateForUcq(sentence, pdb.database());
+  Result<double> lifted =
+      rewrite.ok() ? LiftedProbability(rewrite->ucq, rewrite->database,
+                                       options.lifted)
+                   : Result<double>(rewrite.status());
+  if (lifted.ok()) {
+    QueryAnswer answer;
+    answer.probability = rewrite->complemented ? 1.0 - *lifted : *lifted;
+    answer.lower = answer.upper = answer.probability;
+    answer.method = InferenceMethod::kLifted;
+    answer.exact = true;
+    return answer;
+  }
+  if (lifted.status().code() != StatusCode::kUnsupported) {
+    return lifted.status();
+  }
+  QueryOptions grounded = options;
+  grounded.prefer_lifted = false;
+  return pdb.QueryFo(sentence, grounded);
+}
+
+std::vector<LiftedOptions> GateLiftedOptions() {
+  std::vector<LiftedOptions> all(4);
+  all[1].use_inclusion_exclusion = false;
+  all[2].max_depth = 1;
+  all[3].max_depth = 3;
+  all[3].max_ie_subsets = 3;
+  return all;
+}
+
+void ExpectSameAnswer(const Result<QueryAnswer>& got,
+                      const Result<QueryAnswer>& want) {
+  ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString() << " vs "
+                                 << want.status().ToString();
+  if (!want.ok()) {
+    EXPECT_EQ(got.status().code(), want.status().code());
+    return;
+  }
+  EXPECT_EQ(got->method, want->method);
+  EXPECT_EQ(got->exact, want->exact);
+  EXPECT_EQ(got->probability, want->probability);
+  EXPECT_EQ(got->lower, want->lower);
+  EXPECT_EQ(got->upper, want->upper);
+}
+
+TEST(SafetyGateTest, RoutingMatchesAlwaysLiftedFirstOnRandomCqs) {
+  // Non-hierarchical shapes the random generator meets only now and then:
+  // H0 itself, with constants, with a ground atom, over the empty Z, and
+  // with a separator variable (the data then decides).
+  const std::vector<std::string> fixed = {
+      "A(x), C(x,y), B(y)",          "A(x), C(x,y), D(y,z), B(z)",
+      "C(x,1), E(x,y,2), D(y,3)",    "A(x), C(x,y), B(y), D(2,3)",
+      "A(x), Z(x,y), B(y)",          "E(z,x,w), C(z,x), D(z,w), B(z)",
+      "A(x), C(x,y), B(y), D(z,w)"};
+  size_t gated = 0;
+  size_t lifted = 0;
+  for (uint64_t seed = 0; seed < 120; ++seed) {
+    Rng rng(seed * 104729 + 5);
+    ProbDatabase pdb(testing::RandomSelfJoinFreeDb(&rng));
+    std::vector<ConjunctiveQuery> queries;
+    for (const std::string& q : fixed) {
+      queries.push_back(UcqOf(q).disjuncts()[0]);
+    }
+    for (int i = 0; i < 6; ++i) {
+      queries.push_back(testing::RandomSelfJoinFreeCq(&rng));
+    }
+    for (const ConjunctiveQuery& cq : queries) {
+      FoPtr sentence = Ucq({cq}).ToFo();
+      SCOPED_TRACE(cq.ToString() + " seed " + std::to_string(seed));
+      if (!SyntacticSafetyGate(sentence, pdb.database()).ok()) {
+        ++gated;
+        // The gate's promise: the rules would have failed on this data.
+        auto rewrite = RewriteUnateForUcq(sentence, pdb.database());
+        ASSERT_TRUE(rewrite.ok());
+        EXPECT_EQ(LiftedProbability(rewrite->ucq, rewrite->database)
+                      .status()
+                      .code(),
+                  StatusCode::kUnsupported);
+      }
+      for (const LiftedOptions& lifted_options : GateLiftedOptions()) {
+        QueryOptions options;
+        options.lifted = lifted_options;
+        auto got = pdb.QueryFo(sentence, options);
+        ExpectSameAnswer(got, AlwaysLiftedFirst(pdb, sentence, options));
+        if (got.ok() && got->method == InferenceMethod::kLifted) ++lifted;
+      }
+    }
+  }
+  EXPECT_GT(gated, 300u);
+  EXPECT_GT(lifted, 1000u);
+}
+
+TEST(SafetyGateTest, NegatedAndUniversalSentencesAreUntouched) {
+  // FoToUcq rejects these, so the gate lets the lifted rules decide.
+  const std::vector<std::string> sentences = {
+      "forall x forall y (C(x,y) => A(x))",
+      "forall x forall y (A(x) | C(x,y) | B(y))",
+      "exists x exists y (A(x) & !C(x,y) & B(y))",
+      "exists x (A(x) & !B(x))",
+      "forall x forall y (!A(x) | !D(x,y))",
+      "exists x forall y (A(x) | C(x,y))"};
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed * 6151 + 1);
+    ProbDatabase pdb(testing::RandomSelfJoinFreeDb(&rng));
+    for (const std::string& text : sentences) {
+      SCOPED_TRACE(text + " seed " + std::to_string(seed));
+      auto sentence = ParseFo(text);
+      ASSERT_TRUE(sentence.ok());
+      EXPECT_TRUE(SyntacticSafetyGate(*sentence, pdb.database()).ok());
+      for (const LiftedOptions& lifted_options : GateLiftedOptions()) {
+        QueryOptions options;
+        options.lifted = lifted_options;
+        ExpectSameAnswer(pdb.QueryFo(*sentence, options),
+                         AlwaysLiftedFirst(pdb, *sentence, options));
+      }
+    }
+  }
+}
+
+TEST(SafetyGateTest, RejectsH0FromSyntaxButKeepsDataDependentCases) {
+  Rng rng(3);
+  Database db = testing::RandomSelfJoinFreeDb(&rng);
+  auto gate = [&](const std::string& q) {
+    return SyntacticSafetyGate(Ucq({UcqOf(q).disjuncts()[0]}).ToFo(), db);
+  };
+  Status h0 = gate("A(x), C(x,y), B(y)");
+  EXPECT_EQ(h0.code(), StatusCode::kUnsupported);
+  EXPECT_NE(h0.message().find("Theorem 4.3"), std::string::npos);
+  EXPECT_TRUE(gate("A(x), C(x,y)").ok());             // hierarchical
+  EXPECT_TRUE(gate("A(x), Z(x,y), B(y)").ok());       // empty relation
+  EXPECT_TRUE(gate("A(x), C(x,y), B(y), D(1,2)").ok());  // ground atom
+  EXPECT_TRUE(gate("A(x), C(x,y), B(y), D(z,w)").ok());  // two components
+  EXPECT_TRUE(gate("E(z,x,w), C(z,x), D(z,w), B(z)").ok());  // root z
+  EXPECT_TRUE(gate("A(x), Missing(x,y), B(y)").ok());  // unknown relation
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
 #include "boolean/lineage.h"
+#include "exec/context.h"
 #include "lifted/lifted.h"
+#include "logic/analysis.h"
 #include "logic/parser.h"
 #include "plans/bounds.h"
 #include "plans/enumerate.h"
 #include "plans/plan.h"
+#include "storage/index_cache.h"
 #include "test_common.h"
 #include "wmc/dpll.h"
 
@@ -20,6 +24,52 @@ ConjunctiveQuery CqOf(const std::string& shorthand) {
   auto ucq = FoToUcq(*fo);
   PDB_CHECK(ucq.ok() && ucq->size() == 1);
   return ucq->disjuncts()[0];
+}
+
+// Reference D1 for the oracle below: a copy of the whole database with
+// every tuple probability p replaced by 1 - (1-p)^{1/k}, k the number of
+// DNF lineage terms the tuple occurs in (tuples outside the lineage keep
+// their probability).
+Result<Database> DissociateForLowerBound(const ConjunctiveQuery& cq,
+                                         const Database& db) {
+  std::map<std::pair<std::string, size_t>, size_t> counts;
+  PDB_RETURN_NOT_OK(EnumerateCqMatches(cq, db, [&](const CqMatch& match) {
+    std::map<std::pair<std::string, size_t>, bool> seen;
+    for (const LineageVar& lv : match.atom_rows) {
+      seen[{lv.relation, lv.row}] = true;
+    }
+    for (const auto& [key, unused] : seen) ++counts[key];
+  }));
+  Database dissociated = db;
+  for (const auto& [key, k] : counts) {
+    if (k <= 1) continue;
+    PDB_ASSIGN_OR_RETURN(Relation * rel, dissociated.GetMutable(key.first));
+    double p = rel->prob(key.second);
+    rel->set_prob(key.second,
+                  1.0 - std::pow(1.0 - p, 1.0 / static_cast<double>(k)));
+  }
+  return dissociated;
+}
+
+// Oracle for ComputePlanBounds: every plan evaluated over the whole
+// database and over a whole-database copy of D1.
+Result<PlanBounds> ReferencePlanBounds(const ConjunctiveQuery& cq,
+                                       const Database& db) {
+  PDB_ASSIGN_OR_RETURN(std::vector<PlanPtr> plans, EnumerateAllPlans(cq));
+  PDB_ASSIGN_OR_RETURN(Database dissociated, DissociateForLowerBound(cq, db));
+  PlanBounds bounds;
+  bounds.num_plans = plans.size();
+  for (const PlanPtr& plan : plans) {
+    PDB_ASSIGN_OR_RETURN(double upper, ExecuteBooleanPlan(plan, db));
+    PDB_ASSIGN_OR_RETURN(double lower, ExecuteBooleanPlan(plan, dissociated));
+    bounds.upper = std::min(bounds.upper, upper);
+    bounds.lower = std::max(bounds.lower, lower);
+  }
+  if (IsHierarchical(cq)) {
+    PDB_ASSIGN_OR_RETURN(PlanPtr safe, BuildSafePlan(cq));
+    PDB_ASSIGN_OR_RETURN(bounds.safe_value, ExecuteBooleanPlan(safe, db));
+  }
+  return bounds;
 }
 
 double GroundTruth(const ConjunctiveQuery& cq, const Database& db) {
@@ -212,6 +262,48 @@ TEST(PlanBoundsTest2, SafeQueryBoundsAreTight) {
   EXPECT_LE(bounds->lower, truth + 1e-12);
   ASSERT_TRUE(bounds->safe_value.has_value());
   EXPECT_NEAR(*bounds->safe_value, truth, 1e-12);
+}
+
+// ComputePlanBounds evaluates the plans over the matched rows only; the
+// values must be bit-identical to the whole-database oracle, on random
+// TIDs with an unread relation, an empty one, rows that join nothing,
+// deterministic tuples, constants and ground atoms.
+TEST(PlanBoundsTest2, MatchedRowsAreBitIdenticalToWholeDatabase) {
+  const std::vector<std::string> fixed = {"A(x), C(x,y), B(y)",
+                                          "A(x), C(x,y)"};
+  size_t compared = 0;
+  for (uint64_t seed = 0; seed < 150; ++seed) {
+    Rng rng(seed * 7919 + 11);
+    Database db = testing::RandomSelfJoinFreeDb(&rng);
+    IndexCache cache;
+    ExecContext ctx;
+    ctx.set_index_cache(&cache);
+    GroundingOptions grounding;
+    grounding.exec = &ctx;
+    std::vector<ConjunctiveQuery> queries;
+    for (const std::string& q : fixed) queries.push_back(CqOf(q));
+    for (int i = 0; i < 4; ++i) {
+      queries.push_back(testing::RandomSelfJoinFreeCq(&rng));
+    }
+    for (const ConjunctiveQuery& cq : queries) {
+      SCOPED_TRACE(cq.ToString() + " seed " + std::to_string(seed));
+      auto want = ReferencePlanBounds(cq, db);
+      for (const GroundingOptions& options : {GroundingOptions(), grounding}) {
+        auto got = ComputePlanBounds(cq, db, 7, options);
+        ASSERT_EQ(got.ok(), want.ok()) << got.status().ToString();
+        if (!want.ok()) {
+          EXPECT_EQ(got.status().code(), want.status().code());
+          continue;
+        }
+        EXPECT_EQ(got->lower, want->lower);
+        EXPECT_EQ(got->upper, want->upper);
+        EXPECT_EQ(got->num_plans, want->num_plans);
+        EXPECT_EQ(got->safe_value, want->safe_value);
+        ++compared;
+      }
+    }
+  }
+  EXPECT_GT(compared, 1000u);
 }
 
 }  // namespace

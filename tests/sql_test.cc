@@ -6,6 +6,7 @@
 
 #include "core/pdb.h"
 #include "core/session.h"
+#include "lifted/safety.h"
 #include "sql/explain.h"
 #include "sql/sql.h"
 #include "test_common.h"
@@ -321,6 +322,27 @@ TEST(ExplainTest, PlainExplainPredictsWithoutExecuting) {
   std::string json = explain->ToJson();
   EXPECT_NE(json.find("\"executed\":false"), std::string::npos);
   EXPECT_EQ(json.find("\"probability\""), std::string::npos);
+}
+
+TEST(ExplainTest, UnsafeVerdictComesFromTheExecutionGate) {
+  ProbDatabase pdb(UniformJoinDb(4));
+  Session session(&pdb, {.num_threads = 1});
+  auto explain = session.ExplainSql(kJoinSql, /*analyze=*/false);
+  ASSERT_TRUE(explain.ok()) << explain.status().ToString();
+  EXPECT_FALSE(explain->safe);
+  EXPECT_EQ(explain->method, "grounded-exact");
+  // The verdict is the syntactic gate's, word for word.
+  auto compiled = CompileSql(kJoinSql, pdb.database());
+  ASSERT_TRUE(compiled.ok());
+  Status gate =
+      SyntacticSafetyGate(Ucq({compiled->cq}).ToFo(), pdb.database());
+  ASSERT_EQ(gate.code(), StatusCode::kUnsupported);
+  EXPECT_EQ(explain->safety, "unsafe: " + gate.message());
+  EXPECT_NE(explain->safety.find("Theorem 4.3"), std::string::npos);
+  // Execution takes the route EXPLAIN predicted.
+  auto analyzed = session.ExplainSql(kJoinSql, /*analyze=*/true);
+  ASSERT_TRUE(analyzed.ok()) << analyzed.status().ToString();
+  EXPECT_EQ(analyzed->method, "grounded-exact");
 }
 
 TEST(ExplainTest, SafeQueryRoutesLifted) {

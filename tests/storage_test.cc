@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "storage/coding.h"
@@ -274,6 +276,66 @@ TEST(ColumnarStatsTest, DistinctCompositeCountsObservedPairs) {
   EXPECT_EQ(DistinctComposite(*grid_cols, {0, 1}), 6u);  // full cross product
   ColumnarIndex grid_index(grid_cols, {1});
   EXPECT_EQ(grid_index.num_buckets(), 3u);  // CSR: one bucket per code
+}
+
+// The memoized count on the image equals the scan, for every key-column
+// list, and a mutation (which drops the image) makes the next image count
+// the new rows.
+TEST(ColumnarStatsTest, CompositeDistinctMemoMatchesScanAndFollowsMutation) {
+  Rng rng(42);
+  Relation rel("E", Schema::Anonymous(3));
+  for (int64_t i = 0; i < 200; ++i) {
+    Tuple t = {Value(static_cast<int64_t>(rng.Uniform(5))),
+               Value(static_cast<int64_t>(rng.Uniform(7))), Value(i)};
+    ASSERT_TRUE(rel.AddTuple(std::move(t), 0.5).ok());
+  }
+  const std::vector<std::vector<size_t>> keys = {
+      {0, 1}, {1, 0}, {0, 2}, {0, 1, 2}, {1}, {}};
+  auto cols = rel.columnar();
+  for (int pass = 0; pass < 2; ++pass) {  // second pass hits the memo
+    for (const auto& key : keys) {
+      EXPECT_EQ(cols->CompositeDistinct(key), DistinctComposite(*cols, key));
+    }
+  }
+  const size_t before = cols->CompositeDistinct({0, 1});
+  // A pair no row has yet: 100 is outside both random column ranges.
+  ASSERT_TRUE(rel.AddTuple({Value(100), Value(100), Value(-1)}, 0.5).ok());
+  auto fresh = rel.columnar();
+  EXPECT_NE(fresh.get(), cols.get());
+  EXPECT_EQ(fresh->CompositeDistinct({0, 1}), before + 1);
+  EXPECT_EQ(fresh->CompositeDistinct({0, 1}),
+            DistinctComposite(*fresh, {0, 1}));
+  // The old image is an unchanged snapshot for readers still holding it.
+  EXPECT_EQ(cols->CompositeDistinct({0, 1}), before);
+}
+
+// Concurrent readers of one shared image race on the memo (run under
+// TSan in CI): every thread sees the scan's value for every key.
+TEST(ColumnarStatsTest, CompositeDistinctConcurrentReaders) {
+  Relation rel("E", Schema::Anonymous(3));
+  for (int64_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(
+        rel.AddTuple({Value(i % 13), Value(i % 17), Value(i % 5)}, 0.5).ok());
+  }
+  auto cols = rel.columnar();
+  const std::vector<std::vector<size_t>> keys = {
+      {0, 1}, {1, 2}, {0, 2}, {0, 1, 2}, {2, 0}};
+  std::vector<size_t> want;
+  for (const auto& key : keys) want.push_back(DistinctComposite(*cols, key));
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int round = 0; round < 50; ++round) {
+        for (size_t k = 0; k < keys.size(); ++k) {
+          size_t i = (k + static_cast<size_t>(t)) % keys.size();
+          if (cols->CompositeDistinct(keys[i]) != want[i]) ++mismatches;
+        }
+      }
+    });
+  }
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(ColumnarTest, CodeTranslationAlignsTwoDictionaries) {

@@ -6,6 +6,7 @@
 #define PDB_TESTS_TEST_COMMON_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "logic/cq.h"
@@ -128,6 +129,59 @@ inline Database RandomVocabularyDb(Rng* rng) {
   AddRandomRelation(&db, "S", 2, rng, options);
   AddRandomRelation(&db, "T", 1, rng, options);
   AddRandomRelation(&db, "U", 2, rng, options);
+  return db;
+}
+
+/// Generates a random self-join-free Boolean CQ: 1-4 atoms over distinct
+/// predicates of A/1, B/1, C/2, D/2, E/3 and, rarely, Z/2 (empty in
+/// RandomSelfJoinFreeDb), with variables from a pool of four and constants
+/// with chance `constant_chance`, so ground atoms, root variables, several
+/// components and non-hierarchical shapes all occur.
+inline ConjunctiveQuery RandomSelfJoinFreeCq(Rng* rng,
+                                             double constant_chance = 0.15) {
+  struct Symbol {
+    const char* name;
+    size_t arity;
+  };
+  std::vector<Symbol> symbols = {{"A", 1}, {"B", 1}, {"C", 2}, {"D", 2},
+                                 {"E", 3}};
+  if (rng->Bernoulli(0.1)) symbols.push_back({"Z", 2});
+  for (size_t i = symbols.size(); i-- > 1;) {
+    std::swap(symbols[i], symbols[rng->Uniform(i + 1)]);
+  }
+  const char* vars[] = {"x", "y", "z", "w"};
+  size_t num_atoms = 1 + rng->Uniform(4);
+  ConjunctiveQuery cq;
+  for (size_t i = 0; i < num_atoms; ++i) {
+    std::vector<Term> args;
+    for (size_t j = 0; j < symbols[i].arity; ++j) {
+      if (rng->Bernoulli(constant_chance)) {
+        args.push_back(
+            Term::Const(Value(static_cast<int64_t>(1 + rng->Uniform(3)))));
+      } else {
+        args.push_back(Term::Var(vars[rng->Uniform(4)]));
+      }
+    }
+    cq.AddAtom(Atom(symbols[i].name, std::move(args)));
+  }
+  return cq;
+}
+
+/// A random TID over RandomSelfJoinFreeCq's vocabulary (domain {1,2,3},
+/// some tuples with probability 0 or 1), plus the empty relation Z and a
+/// relation W that no generated query reads.
+inline Database RandomSelfJoinFreeDb(Rng* rng) {
+  Database db;
+  RandomTidOptions options;
+  options.domain_size = 3;
+  options.presence = 0.6;
+  AddRandomRelation(&db, "A", 1, rng, options);
+  AddRandomRelation(&db, "B", 1, rng, options);
+  AddRandomRelation(&db, "C", 2, rng, options);
+  AddRandomRelation(&db, "D", 2, rng, options);
+  AddRandomRelation(&db, "E", 3, rng, options);
+  AddRandomRelation(&db, "W", 2, rng, options);
+  PDB_CHECK(db.CreateRelation("Z", Schema::Anonymous(2, ValueType::kInt)).ok());
   return db;
 }
 
