@@ -147,10 +147,11 @@ void BM_CqJoinStar(benchmark::State& state) {
 BENCHMARK(BM_CqJoinStar)->Args({32, 0})->Args({32, 1})->Args({64, 0})->Args(
     {64, 1});
 
-// M7: cold vs. session-cached hash indexes. A tiny head relation joined
-// through two large ones: the probe work is a handful of lookups, so the
-// per-query cost is dominated by building the two 8192-row indexes — which
-// the cached variant pays exactly once across all iterations.
+// M7: cold vs. session-cached columnar code indexes. A tiny head relation
+// joined through two large ones: the probe work is a handful of lookups, so
+// the per-query cost is dominated by building the two 8192-row indexes —
+// which the cached variant (IndexCache::GetOrBuildColumnarIndex) pays
+// exactly once across all iterations.
 void BM_CqJoinIndexCache(benchmark::State& state) {
   bool cached = state.range(0) != 0;
   constexpr size_t kRows = 8192;
@@ -174,14 +175,11 @@ void BM_CqJoinIndexCache(benchmark::State& state) {
 }
 BENCHMARK(BM_CqJoinIndexCache)->Arg(0)->Arg(1);
 
-// M9: the vectorized columnar executor vs. the row-at-a-time path on the
-// same dense-key chain join, steady state (indexes session-cached in both
-// modes, cost-based order, so the row measures probe work, not builds).
-// The columnar path probes CSR offset arrays with integer codes where the
-// row path materializes Tuple keys and hashes Values per probe.
+// M9: the columnar executor on a dense-key chain join, steady state
+// (indexes session-cached, cost-based order, so the row measures probe
+// work, not builds). Probes hit CSR offset arrays with integer codes.
 void BM_CqJoinColumnarChain(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  bool columnar = state.range(1) != 0;
   Database db = ChainJoinDatabase(n, n);
   ConjunctiveQuery cq(
       {Atom("S1", {Term::Var("x0"), Term::Var("x1")}),
@@ -192,8 +190,6 @@ void BM_CqJoinColumnarChain(benchmark::State& state) {
   ctx.set_index_cache(&cache);
   GroundingOptions grounding;
   grounding.exec = &ctx;
-  grounding.columnar =
-      columnar ? ColumnarMode::kAlways : ColumnarMode::kNever;
   for (auto _ : state) {
     size_t matches = 0;
     Status st = EnumerateCqMatches(
@@ -203,17 +199,12 @@ void BM_CqJoinColumnarChain(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_CqJoinColumnarChain)
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1});
+BENCHMARK(BM_CqJoinColumnarChain)->Arg(1024)->Arg(8192);
 
-// M9: columnar vs. row path on the star join (unary spokes, one wide hub
+// M9: the columnar executor on the star join (unary spokes, one wide hub
 // probed on a single bound position, then fully-bound spoke lookups).
 void BM_CqJoinColumnarStar(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(0));
-  bool columnar = state.range(1) != 0;
   Database db;
   for (const char* name : {"A", "B", "D"}) {
     Relation rel(name, Schema::Anonymous(1));
@@ -237,8 +228,6 @@ void BM_CqJoinColumnarStar(benchmark::State& state) {
   ctx.set_index_cache(&cache);
   GroundingOptions grounding;
   grounding.exec = &ctx;
-  grounding.columnar =
-      columnar ? ColumnarMode::kAlways : ColumnarMode::kNever;
   for (auto _ : state) {
     size_t matches = 0;
     Status st = EnumerateCqMatches(
@@ -248,39 +237,109 @@ void BM_CqJoinColumnarStar(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(n));
 }
-BENCHMARK(BM_CqJoinColumnarStar)
-    ->Args({1024, 0})
-    ->Args({1024, 1})
-    ->Args({8192, 0})
-    ->Args({8192, 1});
+BENCHMARK(BM_CqJoinColumnarStar)->Arg(1024)->Arg(8192);
 
-// M7: per-tuple lineage construction fanned out over the pool. Thread
-// count 1 is the sequential builder (no ExecContext); higher counts force
-// the parallel path (thresholds dropped to 1) so the row measures the full
-// split/absorb overhead against the identical sequential output.
-void BM_LineageParallel(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
+// Runs `cq` over `db` with session-cached indexes and the cost-based order
+// (steady-state probe work) and checks the match count.
+void RunCachedJoin(benchmark::State& state, const ConjunctiveQuery& cq,
+                   const Database& db, size_t expected) {
+  IndexCache cache;
+  ExecContext ctx;
+  ctx.set_index_cache(&cache);
+  GroundingOptions grounding;
+  grounding.exec = &ctx;
+  for (auto _ : state) {
+    size_t matches = 0;
+    Status st = EnumerateCqMatches(
+        cq, db, [&](const CqMatch&) { ++matches; }, grounding);
+    PDB_CHECK(st.ok() && matches == expected);
+    benchmark::DoNotOptimize(matches);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(expected));
+}
+
+// M9: two-column key probes — the grouped H0 shape R(g,x), S(g,x,y),
+// T(g,y) of the end-to-end benchmark, over `groups` groups of 4 x-values,
+// 4 y-values and 8 S rows each. After the first atom every step probes a
+// (g, ·) index.
+void BM_CqJoinColumnarCompositeKey(benchmark::State& state) {
+  const int64_t groups = state.range(0);
+  Relation r("R", Schema::Anonymous(2, ValueType::kInt));
+  Relation s("S", Schema::Anonymous(3, ValueType::kInt));
+  Relation t("T", Schema::Anonymous(2, ValueType::kInt));
+  for (int64_t g = 0; g < groups; ++g) {
+    for (int64_t v = 0; v < 4; ++v) {
+      PDB_CHECK(r.AddTuple({Value(g), Value(v)}, 0.5).ok());
+      PDB_CHECK(t.AddTuple({Value(g), Value(v)}, 0.5).ok());
+      for (int64_t k = 0; k < 2; ++k) {
+        PDB_CHECK(s.AddTuple({Value(g), Value(v), Value((v + k) % 4)}, 0.5)
+                      .ok());
+      }
+    }
+  }
+  Database db;
+  PDB_CHECK(db.AddRelation(std::move(r)).ok());
+  PDB_CHECK(db.AddRelation(std::move(s)).ok());
+  PDB_CHECK(db.AddRelation(std::move(t)).ok());
+  Term g = Term::Var("g");
+  Term x = Term::Var("x");
+  Term y = Term::Var("y");
+  ConjunctiveQuery cq({Atom("R", {g, x}), Atom("S", {g, x, y}),
+                       Atom("T", {g, y})});
+  RunCachedJoin(state, cq, db, static_cast<size_t>(groups) * 8);
+}
+BENCHMARK(BM_CqJoinColumnarCompositeKey)->Arg(256)->Arg(2048);
+
+// M9: a five-column key over 8192 rows with all-distinct column values,
+// whose mixed-radix code (8192^5) does not fit in 64 bits. `probes` rows
+// of Probe are copies of Big rows, so every probe finds one match.
+void BM_CqJoinColumnarWideKey(benchmark::State& state) {
+  constexpr int64_t kRows = 8192;
+  constexpr size_t kCols = 5;
+  const int64_t mult[kCols] = {1, 3, 5, 7, 11};
+  auto big_row = [&](int64_t i) {
+    Tuple row;
+    for (size_t c = 0; c < kCols; ++c) {
+      row.push_back(Value((i * mult[c] + static_cast<int64_t>(c)) % kRows));
+    }
+    return row;
+  };
+  const int64_t probes = state.range(0);
+  Relation big("Big", Schema::Anonymous(kCols, ValueType::kInt));
+  Relation probe("Probe", Schema::Anonymous(kCols, ValueType::kInt));
+  for (int64_t i = 0; i < kRows; ++i) {
+    PDB_CHECK(big.AddTuple(big_row(i), 0.5).ok());
+    if (i % (kRows / probes) == 0) {
+      PDB_CHECK(probe.AddTuple(big_row(i), 0.5).ok());
+    }
+  }
+  Database db;
+  PDB_CHECK(db.AddRelation(std::move(big)).ok());
+  PDB_CHECK(db.AddRelation(std::move(probe)).ok());
+  std::vector<Term> args;
+  for (size_t c = 0; c < kCols; ++c) {
+    args.push_back(Term::Var("v" + std::to_string(c)));
+  }
+  ConjunctiveQuery cq({Atom("Probe", args), Atom("Big", args)});
+  RunCachedJoin(state, cq, db, static_cast<size_t>(probes));
+}
+BENCHMARK(BM_CqJoinColumnarWideKey)->Arg(64)->Arg(1024);
+
+// M7: lineage construction of the #P-hard H0 join R(x), S(x,y), T(y) over
+// 64 constants per side — the grounding half of an unsafe query.
+void BM_LineageH0(benchmark::State& state) {
   Rng gen(23);
   Database db = bench::H0Database(64, &gen);
   auto ucq = FoToUcq(*ParseUcqShorthand("R(x), S(x,y), T(y)"));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  ExecContext ctx(pool.get());
   for (auto _ : state) {
     FormulaManager mgr;
-    GroundingOptions grounding;
-    if (threads > 1) {
-      grounding.exec = &ctx;
-      grounding.parallel_min_rows = 1;
-      grounding.parallel_min_matches = 1;
-    }
-    auto lineage = BuildUcqLineage(*ucq, db, &mgr, grounding);
+    auto lineage = BuildUcqLineage(*ucq, db, &mgr);
     PDB_CHECK(lineage.ok());
     benchmark::DoNotOptimize(lineage);
   }
-  state.counters["threads"] = threads;
 }
-BENCHMARK(BM_LineageParallel)->DenseRange(1, 8)->UseRealTime();
+BENCHMARK(BM_LineageH0);
 
 void BM_FoLineageConstruction(benchmark::State& state) {
   // Universal query: grounds over domain^2 pairs.
@@ -399,13 +458,9 @@ void BM_KarpLubySampling(benchmark::State& state) {
 }
 BENCHMARK(BM_KarpLubySampling)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
-// Parallel connected-component solving: a conjunction of variable-disjoint
-// random 3-DNF blocks, counted with the component split running on 1/2/4
-// pool workers. The count is bit-identical across thread counts; the bench
-// isolates the wall-clock scaling of DpllCounter::CountComponentsParallel
-// (including the per-child ExportTo clone overhead).
+// Connected-component solving: a conjunction of variable-disjoint random
+// 3-DNF blocks, counted with one top-level component split.
 void BM_DpllComponents(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
   FormulaManager mgr;
   Rng gen(11);
   std::vector<double> probs;
@@ -433,20 +488,13 @@ void BM_DpllComponents(benchmark::State& state) {
   }
   NodeId root = mgr.And(std::move(blocks));
   WeightMap weights = WeightsFromProbabilities(probs);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-  ExecContext ctx(pool.get());
   for (auto _ : state) {
-    DpllOptions options;
-    options.parallel_min_vars = 0;
-    if (threads > 1) options.exec = &ctx;
-    DpllCounter counter(&mgr, weights, options);
+    DpllCounter counter(&mgr, weights);
     auto p = counter.Compute(root);
     benchmark::DoNotOptimize(p);
   }
-  state.counters["threads"] = threads;
 }
-BENCHMARK(BM_DpllComponents)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+BENCHMARK(BM_DpllComponents);
 
 // Cross-query WMC memoization, repeated-query scenario: the same #P-hard
 // H0 lineage counted by a fresh DpllCounter every iteration — the shape of

@@ -68,8 +68,8 @@ struct SessionOptions {
   size_t max_cache_entries = 4096;
   /// Share one cross-query WMC subformula cache (wmc/wmc_cache.h) across
   /// every DPLL run issued through the session — including the per-tuple
-  /// fan-out of QueryWithAnswers and parallel component children, which
-  /// otherwise each re-solve near-identical lineages from scratch.
+  /// fan-out of QueryWithAnswers, whose answers would otherwise each
+  /// re-solve near-identical lineages from scratch.
   bool share_wmc_cache = true;
   /// Byte budget of the shared WMC cache (per-shard CLOCK eviction).
   size_t wmc_cache_bytes = size_t{64} << 20;
@@ -344,7 +344,6 @@ class Session {
     Counter* dpll_decisions;
     Counter* dpll_cache_hits;
     Counter* dpll_component_splits;
-    Counter* dpll_parallel_splits;
     Counter* wmc_shared_hits;
     Counter* wmc_shared_misses;
     Counter* wmc_shared_inserts;    // overlay: Set() from WmcCacheStats

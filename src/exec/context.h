@@ -43,7 +43,6 @@ struct ExecReport {
   uint64_t cache_hits = 0;      ///< DPLL formula-cache hits (local, NodeId)
   uint64_t dpll_decisions = 0;  ///< DPLL branch decisions
   uint64_t dpll_component_splits = 0;  ///< DPLL connected-component splits
-  uint64_t dpll_parallel_splits = 0;   ///< component splits solved in parallel
   uint64_t wmc_shared_hits = 0;    ///< session-shared WMC cache hits
   uint64_t wmc_shared_misses = 0;  ///< session-shared WMC cache misses
   /// Filled only by Session::CumulativeReport() from the cache's own
@@ -151,9 +150,6 @@ class ExecContext {
   void AddDpllComponentSplits(uint64_t n) {
     dpll_component_splits_.fetch_add(n, std::memory_order_relaxed);
   }
-  void AddDpllParallelSplits(uint64_t n) {
-    dpll_parallel_splits_.fetch_add(n, std::memory_order_relaxed);
-  }
   void AddWmcSharedHits(uint64_t n) {
     wmc_shared_hits_.fetch_add(n, std::memory_order_relaxed);
   }
@@ -194,7 +190,6 @@ class ExecContext {
   std::atomic<uint64_t> cache_hits_{0};
   std::atomic<uint64_t> dpll_decisions_{0};
   std::atomic<uint64_t> dpll_component_splits_{0};
-  std::atomic<uint64_t> dpll_parallel_splits_{0};
   std::atomic<uint64_t> wmc_shared_hits_{0};
   std::atomic<uint64_t> wmc_shared_misses_{0};
   std::atomic<uint64_t> lineage_matches_{0};

@@ -1,5 +1,5 @@
 /// \file parallel.h
-/// \brief `ParallelFor` / `ParallelReduce` over an `ExecContext`'s pool.
+/// \brief `ParallelFor` / `ParallelMap` over an `ExecContext`'s pool.
 ///
 /// The engine's parallelism is expressed exclusively through these helpers,
 /// which keep two invariants the inference code relies on:
@@ -9,11 +9,11 @@
 ///     task can never deadlock (the caller always makes progress even when
 ///     every worker is busy), and a context without a pool degrades to a
 ///     plain sequential loop.
-///  2. **Deterministic merging.** `ParallelReduce` materialises every body
-///     result and folds them in index order on the calling thread, so the
-///     reduction is bit-identical no matter how indices were interleaved
-///     across threads. Combined with per-shard RNG substreams
-///     (`Rng::Split`), Monte Carlo estimates are invariant to thread count.
+///  2. **Deterministic merging.** `ParallelMap` returns every body result
+///     in index order, so a caller that folds them on its own thread gets
+///     the same result no matter how indices were interleaved across
+///     threads. Combined with per-shard RNG substreams (`Rng::Split`),
+///     Monte Carlo estimates are invariant to thread count.
 ///
 /// Bodies are responsible for their own cooperative cancellation: every
 /// body is invoked exactly once, and long-running bodies poll
@@ -44,19 +44,6 @@ std::vector<T> ParallelMap(ExecContext* ctx, size_t n, const Fn& fn) {
   std::vector<T> out(n);
   ParallelFor(ctx, n, [&](size_t i) { out[i] = fn(i); });
   return out;
-}
-
-/// Parallel map + sequential in-order fold:
-/// `init ⊕ fn(0) ⊕ fn(1) ⊕ ... ⊕ fn(n-1)`. The fold runs on the calling
-/// thread in index order, making the result deterministic even for
-/// non-associative combines (floating-point sums).
-template <typename T, typename MapFn, typename CombineFn>
-T ParallelReduce(ExecContext* ctx, size_t n, T init, const MapFn& fn,
-                 const CombineFn& combine) {
-  std::vector<T> parts = ParallelMap<T>(ctx, n, fn);
-  T acc = std::move(init);
-  for (T& part : parts) acc = combine(std::move(acc), std::move(part));
-  return acc;
 }
 
 }  // namespace pdb

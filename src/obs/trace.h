@@ -14,8 +14,8 @@
 /// is attached to the `ExecContext`: `TraceSpan` against a null trace is
 /// inert (two pointer stores), so the untraced hot path stays at its
 /// always-on-counter cost. A trace may receive spans from several threads
-/// concurrently (per-tuple fan-out, parallel components); recording takes a
-/// short internal mutex, acceptable because tracing is opt-in.
+/// concurrently (the per-tuple fan-out of QueryWithAnswers); recording takes
+/// a short internal mutex, acceptable because tracing is opt-in.
 
 #ifndef PDB_OBS_TRACE_H_
 #define PDB_OBS_TRACE_H_

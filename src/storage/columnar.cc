@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_set>
+#include <numeric>
 
 #include "storage/relation.h"
 #include "util/check.h"
@@ -70,103 +70,118 @@ std::vector<uint32_t> BuildCodeTranslation(const std::vector<Value>& src,
   return xlat;
 }
 
+namespace {
+
+// Row ids of `cols` sorted by their code tuple over `key_cols`: an LSD
+// radix sort, one stable counting sort per key column, last column first.
+// Stability keeps the rows of equal tuples ascending. O(k * (rows +
+// distinct)) for k key columns, whatever the width of the key space.
+// `lead_offsets`, when given, receives the CSR offsets of the leading
+// column's codes: with a single key column, the buckets themselves.
+std::vector<uint32_t> SortRowsByKey(const ColumnarRelation& cols,
+                                    const std::vector<size_t>& key_cols,
+                                    std::vector<uint32_t>* lead_offsets) {
+  const uint32_t n = static_cast<uint32_t>(cols.num_rows());
+  std::vector<uint32_t> rows(n);
+  std::vector<uint32_t> sorted(n);
+  std::vector<uint32_t> start;
+  for (size_t p = key_cols.size(); p-- > 0;) {
+    const std::vector<uint32_t>& codes = cols.codes(key_cols[p]);
+    start.assign(cols.distinct(key_cols[p]) + 1, 0);
+    for (uint32_t code : codes) ++start[code + 1];
+    std::partial_sum(start.begin(), start.end(), start.begin());
+    if (p == 0 && lead_offsets != nullptr) *lead_offsets = start;
+    if (p + 1 == key_cols.size()) {
+      for (uint32_t row = 0; row < n; ++row) sorted[start[codes[row]]++] = row;
+    } else {
+      for (uint32_t row : rows) sorted[start[codes[row]]++] = row;
+    }
+    rows.swap(sorted);
+  }
+  return rows;
+}
+
+bool SameKey(const ColumnarRelation& cols, const std::vector<size_t>& key_cols,
+             uint32_t a, uint32_t b) {
+  for (size_t col : key_cols) {
+    if (cols.codes(col)[a] != cols.codes(col)[b]) return false;
+  }
+  return true;
+}
+
+constexpr uint32_t kEmptySlot = UINT32_MAX;
+
+}  // namespace
+
 size_t DistinctComposite(const ColumnarRelation& cols,
                          const std::vector<size_t>& key_cols) {
   if (key_cols.empty()) return 0;
-  // Mixed-radix multipliers, same construction as ColumnarIndex; the
-  // composite code of a row is unique per distinct key combination.
-  std::vector<uint64_t> radix(key_cols.size(), 1);
-  for (size_t p = key_cols.size(); p-- > 1;) {
-    uint64_t dict_size = cols.distinct(key_cols[p]);
-    if (dict_size == 0) dict_size = 1;
-    if (radix[p] > UINT64_MAX / dict_size) return 0;
-    radix[p - 1] = radix[p] * dict_size;
+  std::vector<uint32_t> rows = SortRowsByKey(cols, key_cols, nullptr);
+  size_t distinct = 0;
+  for (size_t i = 0; i < rows.size(); ++i) {
+    if (i == 0 || !SameKey(cols, key_cols, rows[i - 1], rows[i])) ++distinct;
   }
-  uint64_t lead = cols.distinct(key_cols[0]);
-  if (lead > 0 && radix[0] > UINT64_MAX / lead) return 0;
-  std::unordered_set<uint64_t> seen;
-  seen.reserve(cols.num_rows());
-  for (size_t row = 0; row < cols.num_rows(); ++row) {
-    uint64_t code = 0;
-    for (size_t p = 0; p < key_cols.size(); ++p) {
-      code += radix[p] * cols.codes(key_cols[p])[row];
-    }
-    seen.insert(code);
-  }
-  return seen.size();
+  return distinct;
 }
 
 ColumnarIndex::ColumnarIndex(std::shared_ptr<const ColumnarRelation> cols,
                              std::vector<size_t> key_cols)
     : cols_(std::move(cols)), key_cols_(std::move(key_cols)) {
   PDB_CHECK(!key_cols_.empty());
-  // Mixed-radix multipliers: the last key part varies fastest. Composite
-  // codes preserve the lexicographic order of the part codes, though only
-  // equality is used here.
-  radix_.assign(key_cols_.size(), 1);
-  for (size_t p = key_cols_.size(); p-- > 1;) {
-    uint64_t dict_size = cols_->distinct(key_cols_[p]);
-    if (dict_size == 0) dict_size = 1;  // empty relation: any radix works
-    if (radix_[p] > UINT64_MAX / dict_size) {
-      overflow_ = true;
-      return;
-    }
-    radix_[p - 1] = radix_[p] * dict_size;
-  }
-  // One more width check for the leading part (the composite must fit).
-  uint64_t lead = cols_->distinct(key_cols_[0]);
-  if (lead > 0 && radix_[0] > UINT64_MAX / lead) {
-    overflow_ = true;
+  const size_t k = key_cols_.size();
+  if (k == 1) {
+    // Every dictionary code occurs in some row: one bucket per code.
+    rows_ = SortRowsByKey(*cols_, key_cols_, &offsets_);
     return;
   }
-  const size_t n = cols_->num_rows();
-  if (key_cols_.size() == 1) {
-    // CSR: two passes (count, then fill) keep each bucket's rows ascending.
-    const std::vector<uint32_t>& codes = cols_->codes(key_cols_[0]);
-    offsets_.assign(cols_->distinct(key_cols_[0]) + 1, 0);
-    for (uint32_t code : codes) ++offsets_[code + 1];
-    for (size_t c = 1; c < offsets_.size(); ++c) {
-      offsets_[c] += offsets_[c - 1];
+  // Each run of equal tuples in key order becomes one CSR bucket.
+  rows_ = SortRowsByKey(*cols_, key_cols_, nullptr);
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    if (i > 0 && SameKey(*cols_, key_cols_, rows_[i - 1], rows_[i])) continue;
+    offsets_.push_back(static_cast<uint32_t>(i));
+    for (size_t col : key_cols_) {
+      tuples_.push_back(cols_->codes(col)[rows_[i]]);
     }
-    rows_.resize(n);
-    std::vector<uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
-    for (size_t row = 0; row < n; ++row) {
-      rows_[cursor[codes[row]]++] = static_cast<uint32_t>(row);
-    }
-    return;
   }
-  for (size_t row = 0; row < n; ++row) {
-    uint64_t code = 0;
-    for (size_t p = 0; p < key_cols_.size(); ++p) {
-      code += radix_[p] * cols_->codes(key_cols_[p])[row];
-    }
-    buckets_[code].push_back(static_cast<uint32_t>(row));
+  offsets_.push_back(static_cast<uint32_t>(rows_.size()));
+  // Open addressing with linear probing, load factor at most 1/2.
+  for (size_t col : key_cols_) bases_.push_back(cols_->distinct(col) | 1);
+  slot_shift_ = 63;
+  while ((size_t{1} << (64 - slot_shift_)) < 2 * num_buckets()) --slot_shift_;
+  slots_.assign(size_t{1} << (64 - slot_shift_), kEmptySlot);
+  const size_t mask = slots_.size() - 1;
+  for (uint32_t b = 0; b < num_buckets(); ++b) {
+    size_t i = SlotOf(tuples_.data() + size_t{b} * k);
+    while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = b;
   }
 }
 
-size_t ColumnarIndex::num_buckets() const {
-  if (overflow_) return 0;
-  // Single-column CSR buckets are never empty: every dictionary entry came
-  // from at least one row, so the bucket count is the dictionary size.
-  if (key_cols_.size() == 1) return offsets_.empty() ? 0 : offsets_.size() - 1;
-  return buckets_.size();
+size_t ColumnarIndex::SlotOf(const uint32_t* key) const {
+  uint64_t h = key[0];
+  for (size_t p = 1; p < bases_.size(); ++p) h = h * bases_[p] + key[p];
+  return static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> slot_shift_);
 }
 
-void ColumnarIndex::Lookup(uint64_t code, const uint32_t** rows,
+void ColumnarIndex::Lookup(const uint32_t* key, const uint32_t** rows,
                            size_t* count) const {
-  if (key_cols_.size() == 1) {
-    *rows = rows_.data() + offsets_[code];
-    *count = offsets_[code + 1] - offsets_[code];
-    return;
+  // Single-column keys: bucket b holds code b.
+  size_t bucket = key[0];
+  const size_t k = key_cols_.size();
+  if (k > 1) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = SlotOf(key);; i = (i + 1) & mask) {
+      bucket = slots_[i];
+      if (bucket == kEmptySlot) {
+        *rows = nullptr;
+        *count = 0;
+        return;
+      }
+      if (std::equal(key, key + k, tuples_.data() + bucket * k)) break;
+    }
   }
-  auto it = buckets_.find(code);
-  if (it == buckets_.end()) {
-    *rows = nullptr;
-    *count = 0;
-    return;
-  }
-  *rows = it->second.data();
-  *count = it->second.size();
+  *rows = rows_.data() + offsets_[bucket];
+  *count = offsets_[bucket + 1] - offsets_[bucket];
 }
 
 }  // namespace pdb

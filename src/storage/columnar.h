@@ -17,12 +17,14 @@
 /// (`BuildCodeTranslation`), which is how cross-column joins compare codes
 /// without ever touching a `Value` on the hot path.
 ///
-/// `ColumnarIndex` is the columnar analogue of `HashIndex`: rows grouped by
-/// the (composite) code of a key-column list. Single-column keys use a CSR
-/// layout (offset array indexed by code — an O(1) probe with no hashing);
-/// multi-column keys use a hash map over the mixed-radix composite code.
-/// Bucket row ids are ascending, matching `HashIndex`, so the two
-/// executors enumerate matches in the same order.
+/// `ColumnarIndex` groups rows by the code tuple of a key-column list in
+/// one CSR layout: row ids sorted by tuple (an LSD radix sort over the key
+/// columns), one bucket per distinct tuple, so bucket row ids ascend and
+/// the join executor enumerates candidates in row order. A single-column
+/// key probes by code (bucket b holds code b: an O(1) probe, no hashing).
+/// A multi-column key hashes its code tuple into an open-addressing table
+/// of bucket ids and checks equality against the bucket's stored tuple, so
+/// keys of any width work the same way.
 
 #ifndef PDB_STORAGE_COLUMNAR_H_
 #define PDB_STORAGE_COLUMNAR_H_
@@ -32,7 +34,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/value.h"
@@ -102,13 +103,12 @@ std::vector<uint32_t> BuildCodeTranslation(const std::vector<Value>& src,
 /// multi-column selectivity statistic. Unlike the per-column independence
 /// product, this counts the key combinations that actually occur, so a
 /// correlated pair (say y == x) reports n instead of n². Returns 0 when
-/// the mixed-radix composite code would overflow 64 bits (callers fall
-/// back to the independence product) or when `key_cols` is empty.
+/// `key_cols` is empty or the relation has no rows.
 size_t DistinctComposite(const ColumnarRelation& cols,
                          const std::vector<size_t>& key_cols);
 
 /// Equality index over a relation's code columns: rows grouped by the
-/// composite code of `key_cols`. Bucket rows ascend, matching `HashIndex`.
+/// code tuple of `key_cols`. Bucket rows ascend.
 class ColumnarIndex {
  public:
   /// Builds the index; keeps `cols` alive for its own lifetime.
@@ -117,34 +117,38 @@ class ColumnarIndex {
 
   const std::vector<size_t>& key_cols() const { return key_cols_; }
 
-  /// True when the mixed-radix composite code would not fit in 64 bits
-  /// (astronomically wide keys); callers fall back to the row-path
-  /// `HashIndex` executor in that case.
-  bool composite_overflow() const { return overflow_; }
+  /// Rows whose key columns carry the codes `key[0..key_cols().size())`
+  /// (each a valid code of its column's dictionary), as a pointer + count
+  /// span (empty when no row has that key).
+  void Lookup(const uint32_t* key, const uint32_t** rows,
+              size_t* count) const;
 
-  /// Mixed-radix multiplier of key part `p`: a composite code is
-  /// sum over p of part_code[p] * radix(p).
-  uint64_t radix(size_t p) const { return radix_[p]; }
-
-  /// Rows whose composite key code equals `code`, as a pointer + count
-  /// span (empty when the code has no rows).
-  void Lookup(uint64_t code, const uint32_t** rows, size_t* count) const;
-
-  /// Number of non-empty buckets — the distinct composite key count this
-  /// index observed (0 when the composite overflowed). Single-column keys
-  /// have one bucket per dictionary entry by construction.
-  size_t num_buckets() const;
+  /// Number of buckets — the distinct key count this index observed.
+  /// Single-column keys have one bucket per dictionary entry.
+  size_t num_buckets() const { return offsets_.size() - 1; }
 
  private:
   std::shared_ptr<const ColumnarRelation> cols_;
   std::vector<size_t> key_cols_;
-  std::vector<uint64_t> radix_;
-  bool overflow_ = false;
-  // Single-column key: CSR over the column's code space.
-  std::vector<uint32_t> offsets_;  // size = dict size + 1
-  std::vector<uint32_t> rows_;     // row ids grouped by code, ascending
-  // Multi-column key: buckets over the (sparse) composite code space.
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets_;
+  // Table slot of a multi-column key. The tuple is read as a mixed-radix
+  // number with odd bases (dictionary size | 1): an exact, nearly dense
+  // code while it fits in 64 bits, and past that a wrapping hash under
+  // which tuples that differ in one column never share a code (odd bases
+  // are invertible mod 2^64). Fibonacci hashing then maps
+  // near-consecutive codes to distinct slots.
+  size_t SlotOf(const uint32_t* key) const;
+
+  // CSR: bucket b's rows are rows_[offsets_[b]..offsets_[b+1]), buckets
+  // in ascending tuple order.
+  std::vector<uint32_t> offsets_;
+  std::vector<uint32_t> rows_;
+  // Multi-column keys only: the distinct code tuples, flattened, one per
+  // bucket (key_cols_.size() codes each), the hash bases, and the table
+  // of bucket ids (2^(64 - slot_shift_) slots, UINT32_MAX when empty).
+  std::vector<uint32_t> tuples_;
+  std::vector<uint64_t> bases_;
+  int slot_shift_ = 0;
+  std::vector<uint32_t> slots_;
 };
 
 }  // namespace pdb

@@ -130,19 +130,4 @@ std::string Relation::ToString() const {
   return out;
 }
 
-HashIndex::HashIndex(const Relation& relation, std::vector<size_t> key_cols)
-    : key_cols_(std::move(key_cols)) {
-  for (size_t row = 0; row < relation.size(); ++row) {
-    Tuple key;
-    key.reserve(key_cols_.size());
-    for (size_t col : key_cols_) key.push_back(relation.tuple(row)[col]);
-    buckets_[std::move(key)].push_back(row);
-  }
-}
-
-const std::vector<size_t>& HashIndex::Lookup(const Tuple& key) const {
-  auto it = buckets_.find(key);
-  return it == buckets_.end() ? empty_ : it->second;
-}
-
 }  // namespace pdb

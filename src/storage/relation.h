@@ -95,24 +95,6 @@ class Relation {
   mutable std::shared_ptr<const ColumnarRelation> columnar_;
 };
 
-/// Equality (hash) index on a subset of a relation's columns, for joins and
-/// selections in the extensional plan executor.
-class HashIndex {
- public:
-  /// Builds an index of `relation` keyed on `key_cols`.
-  HashIndex(const Relation& relation, std::vector<size_t> key_cols);
-
-  /// Row ids whose key columns equal `key` (same order as key_cols).
-  const std::vector<size_t>& Lookup(const Tuple& key) const;
-
-  const std::vector<size_t>& key_cols() const { return key_cols_; }
-
- private:
-  std::vector<size_t> key_cols_;
-  std::unordered_map<Tuple, std::vector<size_t>> buckets_;
-  std::vector<size_t> empty_;
-};
-
 }  // namespace pdb
 
 #endif  // PDB_STORAGE_RELATION_H_

@@ -15,9 +15,9 @@
 ///    function of (unordered structure, per-variable weights), so a key
 ///    match means the cached double is *the* answer, bit for bit;
 ///  - the table is N-way sharded (mutex striping on the signature), so the
-///    parallel component children of one query, the per-tuple fan-out of
-///    `QueryWithAnswers`, and concurrent session clients all publish and
-///    probe one cache without serialising on a single lock;
+///    per-tuple fan-out of `QueryWithAnswers` and concurrent session
+///    clients all publish and probe one cache without serialising on a
+///    single lock;
 ///  - each shard runs CLOCK (second-chance) eviction under its slice of a
 ///    configurable byte budget, so a long-lived session cannot grow the
 ///    cache without bound while hot entries survive;

@@ -1,10 +1,10 @@
 // Differential consistency harness: every inference backend evaluated on
 // the same random (database, query) cases and cross-checked pairwise.
 //
-// 8 seeds x 25 rounds = 200 random cases. Per case the reference value is
-// sequential DPLL with component decomposition; against it we check
+// 8 seeds x 25 rounds = 200 random cases. Per case the grounding engine's
+// match stream is checked against the reference matcher, and the reference
+// value is DPLL with component decomposition; against it we check
 //  - DPLL without components            (same arithmetic, reordered: 1e-9)
-//  - DPLL components + 4 pool workers   (bit-identical: EXPECT_EQ)
 //  - DPLL + shared WMC cache, cold/warm (bit-identical: EXPECT_EQ)
 //  - brute-force enumeration            (ground truth when <= 18 vars)
 //  - lifted inference                   (when the query is safe)
@@ -25,6 +25,7 @@
 #include "kc/trace_compiler.h"
 #include "lifted/lifted.h"
 #include "logic/parser.h"
+#include "storage/index_cache.h"
 #include "test_common.h"
 #include "wmc/dpll.h"
 #include "wmc/enumeration.h"
@@ -38,8 +39,8 @@ class DifferentialConsistency : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
   Rng rng(GetParam() * 6364136223846793005ull + 1442695040888963407ull);
-  // One shared 4-wide pool for the whole seed: this is exactly the shape a
-  // Session provides, and it exercises pool reuse across many queries.
+  // One shared 4-wide pool for the whole seed, for the sharded Karp-Luby
+  // sampler: the shape a Session provides, reused across many queries.
   ThreadPool pool(4);
   // One shared WMC cache for the whole seed, like a Session's: entries from
   // earlier rounds stay live (distinct formula managers, overlapping
@@ -57,20 +58,20 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
     const WeightMap weights = WeightsFromProbabilities(lineage->probs);
 
     // Grounding differential: the compiled join engine — under both
-    // join-order policies, with the pool attached and the parallel
-    // thresholds forced all the way down — must reproduce the reference
-    // backtracking matcher's match stream exactly, and the lineage DAG it
-    // builds must be node-for-node the one built sequentially above.
-    // (Checked before any DPLL below, which adds cofactor nodes to `mgr`.)
+    // join-order policies, with a session index cache attached — must
+    // reproduce the reference backtracking matcher's match stream exactly,
+    // and the lineage DAG it builds through the cache must be node-for-node
+    // the one built without it above. (Checked before any DPLL below,
+    // which adds cofactor nodes to `mgr`.)
     {
-      ExecContext gctx(&pool);
+      IndexCache index_cache;
+      ExecContext gctx;
+      gctx.set_index_cache(&index_cache);
       GroundingOptions grounding;
       grounding.exec = &gctx;
-      grounding.parallel_min_rows = 1;
-      grounding.parallel_min_matches = 1;
       for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
         std::vector<std::vector<size_t>> expected;
-        ASSERT_TRUE(EnumerateCqMatchesReference(cq, db,
+        ASSERT_TRUE(testing::EnumerateCqMatchesReference(cq, db,
                                                 [&](const CqMatch& m) {
                                                   std::vector<size_t> rows;
                                                   for (const LineageVar& lv :
@@ -100,18 +101,16 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
           EXPECT_EQ(actual, expected);
         }
       }
-      FormulaManager par_mgr;
-      auto par_lineage = BuildUcqLineage(ucq, db, &par_mgr, grounding);
-      ASSERT_TRUE(par_lineage.ok());
-      EXPECT_EQ(par_lineage->root, lineage->root);
-      EXPECT_EQ(par_mgr.NumNodes(), mgr.NumNodes());
-      EXPECT_EQ(par_lineage->probs, lineage->probs);
+      FormulaManager cached_mgr;
+      auto cached_lineage = BuildUcqLineage(ucq, db, &cached_mgr, grounding);
+      ASSERT_TRUE(cached_lineage.ok());
+      EXPECT_EQ(cached_lineage->root, lineage->root);
+      EXPECT_EQ(cached_mgr.NumNodes(), mgr.NumNodes());
+      EXPECT_EQ(cached_lineage->probs, lineage->probs);
     }
 
-    // Reference: sequential DPLL with component decomposition.
-    DpllOptions seq_options;
-    seq_options.parallel_components = false;
-    DpllCounter seq(&mgr, weights, seq_options);
+    // Reference: DPLL with component decomposition.
+    DpllCounter seq(&mgr, weights);
     auto reference = seq.Compute(lineage->root);
     ASSERT_TRUE(reference.ok());
     ASSERT_GE(*reference, -1e-12);
@@ -126,18 +125,6 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
     ASSERT_TRUE(flat_value.ok());
     EXPECT_NEAR(*flat_value, *reference, 1e-9);
 
-    // DPLL with components solved on 4 pool workers, threshold 0 so every
-    // split goes through the parallel path: bit-identical to sequential.
-    ExecContext ctx(&pool);
-    DpllOptions par_options;
-    par_options.exec = &ctx;
-    par_options.parallel_min_vars = 0;
-    DpllCounter par(&mgr, weights, par_options);
-    auto par_value = par.Compute(lineage->root);
-    ASSERT_TRUE(par_value.ok());
-    EXPECT_EQ(*par_value, *reference);
-    EXPECT_EQ(par.stats().component_splits, seq.stats().component_splits);
-
     // DPLL against the seed-lifetime shared cache, twice: the first run
     // may hit entries published by any earlier round, the second run hits
     // at least its own top-level entry. Every hit must be bit-identical to
@@ -145,7 +132,6 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
     // cross-query memoization.
     for (int warm = 0; warm < 2; ++warm) {
       DpllOptions cached_options;
-      cached_options.parallel_components = false;
       cached_options.shared_cache = &shared_cache;
       cached_options.shared_cache_min_vars = 2;
       DpllCounter cached(&mgr, weights, cached_options);
@@ -153,19 +139,6 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
       ASSERT_TRUE(cached_value.ok());
       EXPECT_EQ(*cached_value, *reference);
     }
-    // Parallel components and the shared cache combined.
-    {
-      DpllOptions both_options;
-      both_options.exec = &ctx;
-      both_options.parallel_min_vars = 0;
-      both_options.shared_cache = &shared_cache;
-      both_options.shared_cache_min_vars = 2;
-      DpllCounter both(&mgr, weights, both_options);
-      auto both_value = both.Compute(lineage->root);
-      ASSERT_TRUE(both_value.ok());
-      EXPECT_EQ(*both_value, *reference);
-    }
-
     // Ground truth by brute-force enumeration (2^n assignments).
     if (mgr.VarsOf(lineage->root).size() <= 18) {
       auto brute = EnumerateProbability(&mgr, lineage->root, lineage->probs);
@@ -201,6 +174,7 @@ TEST_P(DifferentialConsistency, AllBackendsAgreeOnRandomCases) {
     ASSERT_TRUE(dnf.ok());
     if (!dnf->terms.empty()) {
       Rng mc_rng(rng.Next());
+      ExecContext ctx(&pool);
       auto estimate =
           KarpLubyDnf(dnf->terms, dnf->probs, 20000, &mc_rng, &ctx);
       if (estimate.ok()) {

@@ -68,7 +68,7 @@ TEST(ThreadPoolTest, CountsExecutedTasks) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelFor / ParallelReduce
+// ParallelFor
 // ---------------------------------------------------------------------------
 
 TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
@@ -101,17 +101,6 @@ TEST(ParallelForTest, NestedDoesNotDeadlock) {
     ParallelFor(&ctx, 8, [&](size_t) { counter.fetch_add(1); });
   });
   EXPECT_EQ(counter.load(), 64);
-}
-
-TEST(ParallelReduceTest, FoldsInIndexOrder) {
-  ThreadPool pool(4);
-  ExecContext ctx(&pool);
-  // Non-commutative combine exposes any ordering violation.
-  std::string order = ParallelReduce<std::string>(
-      &ctx, 26, std::string(),
-      [](size_t i) { return std::string(1, static_cast<char>('a' + i)); },
-      [](std::string acc, std::string part) { return acc + part; });
-  EXPECT_EQ(order, "abcdefghijklmnopqrstuvwxyz");
 }
 
 // ---------------------------------------------------------------------------

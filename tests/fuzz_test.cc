@@ -17,7 +17,7 @@
 #include "storage/wal.h"
 #include "storage/write_batch.h"
 #include "exec/context.h"
-#include "exec/thread_pool.h"
+#include "storage/index_cache.h"
 #include "kc/obdd.h"
 #include "kc/order.h"
 #include "kc/trace_compiler.h"
@@ -34,6 +34,7 @@
 namespace pdb {
 namespace {
 
+using testing::EnumerateCqMatchesReference;
 using testing::RandomCq;
 using testing::RandomUcq;
 
@@ -99,6 +100,7 @@ TEST_P(AtomOrderFuzz, ShuffledAtomOrdersAgree) {
   // the query probability.
   Rng rng(GetParam() * 69621 + 13);
   Database db = RandomDb(&rng);
+  IndexCache index_cache;
   for (int round = 0; round < 10; ++round) {
     ConjunctiveQuery cq = RandomCq(&rng);
     double first_probability = -1.0;
@@ -110,7 +112,7 @@ TEST_P(AtomOrderFuzz, ShuffledAtomOrdersAgree) {
       ConjunctiveQuery permuted(atoms);
       SCOPED_TRACE(permuted.ToString());
       std::vector<std::vector<size_t>> expected, cost_based, syntactic,
-          columnar;
+          cached;
       auto collect = [](std::vector<std::vector<size_t>>* out) {
         return [out](const CqMatch& m) {
           std::vector<size_t> rows;
@@ -131,17 +133,18 @@ TEST_P(AtomOrderFuzz, ShuffledAtomOrdersAgree) {
       ASSERT_TRUE(EnumerateCqMatches(permuted, db, collect(&syntactic),
                                      syntactic_options)
                       .ok());
-      // The dense-code columnar fast path, forced on regardless of
-      // relation size, must emit the identical match stream.
-      GroundingOptions columnar_options;
-      columnar_options.order = AtomOrderPolicy::kCostBased;
-      columnar_options.columnar = ColumnarMode::kAlways;
-      ASSERT_TRUE(EnumerateCqMatches(permuted, db, collect(&columnar),
-                                     columnar_options)
+      // Images and code indexes served from a session index cache (warm
+      // after the first shuffle) must yield the identical match stream.
+      ExecContext cached_ctx;
+      cached_ctx.set_index_cache(&index_cache);
+      GroundingOptions cached_options;
+      cached_options.exec = &cached_ctx;
+      ASSERT_TRUE(EnumerateCqMatches(permuted, db, collect(&cached),
+                                     cached_options)
                       .ok());
       EXPECT_EQ(cost_based, expected);
       EXPECT_EQ(syntactic, expected);
-      EXPECT_EQ(columnar, expected);
+      EXPECT_EQ(cached, expected);
       // The probability is a property of the query, not of the written
       // atom order (variable numbering differs across permutations, so
       // compare numerically, not structurally).
@@ -242,7 +245,6 @@ TEST_P(ComponentDecompositionFuzz, PlantedDisjointBlocksSplitAsExpected) {
   // conjunction: the ONLY component split the counter can perform is the
   // planted top-level one, and `component_splits` must be exactly 1.
   Rng rng(GetParam() * 48271 + 7);
-  ThreadPool pool(4);
   for (int round = 0; round < 20; ++round) {
     size_t num_blocks = 2 + rng.Uniform(4);  // >= 2: a real split
     FormulaManager mgr;
@@ -271,28 +273,12 @@ TEST_P(ComponentDecompositionFuzz, PlantedDisjointBlocksSplitAsExpected) {
     ASSERT_TRUE(flat_value.ok());
     EXPECT_EQ(flat.stats().component_splits, 0u);
 
-    // Components on, sequential: exactly the planted split.
-    DpllOptions sequential;
-    sequential.parallel_components = false;
-    DpllCounter seq(&mgr, WeightsFromProbabilities(probs), sequential);
+    // Components on: exactly the planted split.
+    DpllCounter seq(&mgr, WeightsFromProbabilities(probs));
     auto seq_value = seq.Compute(root);
     ASSERT_TRUE(seq_value.ok());
     EXPECT_EQ(seq.stats().component_splits, 1u);
-    EXPECT_EQ(seq.stats().parallel_splits, 0u);
     EXPECT_NEAR(*seq_value, *flat_value, 1e-12);
-
-    // Components on, 4 workers, threshold 0: same single split, solved on
-    // the pool, bit-identical to the sequential count.
-    ExecContext ctx(&pool);
-    DpllOptions par;
-    par.exec = &ctx;
-    par.parallel_min_vars = 0;
-    DpllCounter parallel(&mgr, WeightsFromProbabilities(probs), par);
-    auto par_value = parallel.Compute(root);
-    ASSERT_TRUE(par_value.ok());
-    EXPECT_EQ(parallel.stats().component_splits, 1u);
-    EXPECT_EQ(parallel.stats().parallel_splits, 1u);
-    EXPECT_EQ(*par_value, *seq_value);
 
     // Ground truth when small enough to enumerate.
     if (probs.size() <= 18) {

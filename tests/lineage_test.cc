@@ -1,10 +1,12 @@
 /// \file lineage_test.cc
 /// \brief The compiled CQ grounding engine: differential equivalence with
-/// the reference matcher (all join orders, all atom permutations), bit-exact
-/// parallel lineage construction, and the session index cache under
-/// concurrency.
+/// the reference matcher (all join orders, all atom permutations, keys too
+/// wide for a 64-bit composite code), lineage DAGs bit-identical to an
+/// oracle build from the reference match stream, and the session index
+/// cache under concurrency.
 
 #include <algorithm>
+#include <map>
 #include <atomic>
 #include <memory>
 #include <string>
@@ -17,7 +19,7 @@
 #include "boolean/lineage.h"
 #include "core/session.h"
 #include "exec/context.h"
-#include "exec/thread_pool.h"
+#include "exec/join_profile.h"
 #include "storage/columnar.h"
 #include "storage/index_cache.h"
 #include "test_common.h"
@@ -27,6 +29,7 @@ namespace pdb {
 namespace {
 
 using pdb::testing::AddRandomRelation;
+using pdb::testing::EnumerateCqMatchesReference;
 using pdb::testing::RandomCq;
 using pdb::testing::RandomTidOptions;
 using pdb::testing::RandomUcq;
@@ -129,35 +132,111 @@ TEST(CompiledGrounding, ReportsMissingRelationAndArityMismatch) {
   EXPECT_NE(st.ToString().find("arity mismatch"), std::string::npos);
 }
 
-// 200 random (database, CQ) cases through the vectorized columnar
-// executor, forced on regardless of relation size: the match stream must
-// equal the reference matcher's exactly — same matches, same order — under
-// both join-order policies, and agree with the row path forced off on the
-// same cases. This is the oracle for the dictionary encoding, the code
-// translation tables, and the batch candidate filters.
+// 200 random (database, CQ) cases with a session index cache attached:
+// the match stream must equal the reference matcher's exactly — same
+// matches, same order — under both join-order policies, cold (first
+// query builds every image and index) and warm (second query hits them).
+// This is the oracle for the dictionary encoding, the code translation
+// tables, the batch candidate filters, and the cached index flavours.
 TEST(ColumnarGrounding, MatchesReferenceOnRandomCases) {
   for (uint64_t seed = 0; seed < 200; ++seed) {
     Rng rng(seed * 6151 + 3);
     Database db = RandomVocabularyDb(&rng);
     ConjunctiveQuery cq = RandomCq(&rng);
     MatchList expected = CollectReference(cq, db);
+    IndexCache cache;
+    ExecContext ctx;
+    ctx.set_index_cache(&cache);
     for (AtomOrderPolicy policy :
          {AtomOrderPolicy::kCostBased, AtomOrderPolicy::kSyntactic}) {
-      GroundingOptions columnar;
-      columnar.order = policy;
-      columnar.columnar = ColumnarMode::kAlways;
-      GroundingOptions row;
-      row.order = policy;
-      row.columnar = ColumnarMode::kNever;
-      EXPECT_EQ(Collect(cq, db, columnar), expected)
-          << "seed " << seed << " cq " << cq.ToString();
-      EXPECT_EQ(Collect(cq, db, row), expected)
-          << "seed " << seed << " cq " << cq.ToString();
+      GroundingOptions cached;
+      cached.exec = &ctx;
+      cached.order = policy;
+      for (int warm = 0; warm < 2; ++warm) {
+        EXPECT_EQ(Collect(cq, db, cached), expected)
+            << "seed " << seed << " warm " << warm << " cq "
+            << cq.ToString();
+      }
     }
   }
 }
 
-/// A chain TID big enough to clear both parallel thresholds.
+// A join key whose mixed-radix composite code cannot fit in 64 bits: five
+// key columns over 8192 rows with all-distinct values per column
+// (8192^5 = 2^65). The executor must still run the join itself — no
+// fallback reason in the profile — and emit the reference matcher's
+// matches in the reference order.
+TEST(ColumnarGrounding, WideKeyRunsWithoutFallback) {
+  constexpr int64_t kRows = 8192;
+  constexpr size_t kCols = 5;
+  Database db;
+  // Column c of row i holds (i * mult[c] + c) mod kRows: an odd multiplier
+  // makes each column a permutation of the row ids, so every column's
+  // dictionary has kRows entries.
+  const int64_t mult[kCols] = {1, 3, 5, 7, 11};
+  auto big_row = [&](int64_t i) {
+    Tuple t;
+    for (size_t c = 0; c < kCols; ++c) {
+      t.push_back(Value((i * mult[c] + static_cast<int64_t>(c)) % kRows));
+    }
+    return t;
+  };
+  Relation big("Big", Schema::Anonymous(kCols, ValueType::kInt));
+  for (int64_t i = 0; i < kRows; ++i) {
+    PDB_CHECK(big.AddTuple(big_row(i), 0.5).ok());
+  }
+  // The probe side: copies of Big rows (matches), rows with one column
+  // swapped for another row's value (every part code exists, the tuple
+  // does not), and rows with a value outside Big's dictionaries.
+  Relation probe("Probe", Schema::Anonymous(kCols, ValueType::kInt));
+  Rng rng(99);
+  while (probe.size() < 96) {
+    Tuple t = big_row(static_cast<int64_t>(rng.Uniform(kRows)));
+    switch (probe.size() % 3) {
+      case 1:
+        t[rng.Uniform(kCols)] =
+            big_row(static_cast<int64_t>(rng.Uniform(kRows)))[0];
+        break;
+      case 2:
+        t[rng.Uniform(kCols)] = Value(kRows + 1);
+        break;
+      default:
+        break;
+    }
+    if (!probe.Contains(t)) PDB_CHECK(probe.AddTuple(t, 0.5).ok());
+  }
+  PDB_CHECK(db.AddRelation(std::move(big)).ok());
+  PDB_CHECK(db.AddRelation(std::move(probe)).ok());
+
+  std::vector<Term> args;
+  for (size_t c = 0; c < kCols; ++c) {
+    args.push_back(Term::Var("v" + std::to_string(c)));
+  }
+  ConjunctiveQuery cq({Atom("Probe", args), Atom("Big", args)});
+  MatchList expected = CollectReference(cq, db);
+  ASSERT_GE(expected.size(), 32u);
+  for (AtomOrderPolicy policy :
+       {AtomOrderPolicy::kCostBased, AtomOrderPolicy::kSyntactic}) {
+    JoinProfile profile;
+    ExecContext ctx;
+    ctx.set_join_profile(&profile);
+    GroundingOptions options;
+    options.exec = &ctx;
+    options.order = policy;
+    EXPECT_EQ(Collect(cq, db, options), expected);
+    std::vector<JoinPlanProfile> plans = profile.plans();
+    ASSERT_EQ(plans.size(), 1u);
+    EXPECT_TRUE(plans[0].executed);
+    EXPECT_EQ(plans[0].fallback_reason, "");
+    EXPECT_EQ(plans[0].matches, expected.size());
+    // Probe drives; Big is probed on all five columns.
+    ASSERT_EQ(plans[0].steps.size(), 2u);
+    EXPECT_EQ(plans[0].steps[1].predicate, "Big");
+    EXPECT_EQ(plans[0].steps[1].actual_rows, expected.size());
+  }
+}
+
+/// A chain TID: R(i) and four S(i, (i + j) mod n) rows per i.
 Database BigChainDatabase(size_t n) {
   Database db;
   Relation r("R", Schema::Anonymous(1, ValueType::kInt));
@@ -179,132 +258,113 @@ Database BigChainDatabase(size_t n) {
   return db;
 }
 
-// Parallel grounding (fan-out over the pool + per-chunk formula managers
-// merged via AbsorbFrom) must be BIT-identical to the sequential build:
-// same node ids, same variable table, same DPLL probability.
-TEST(ParallelLineage, BitIdenticalToSequential) {
-  Database db = BigChainDatabase(64);
-  Ucq ucq({ConjunctiveQuery(
-      {Atom("R", {Term::Var("x")}),
-       Atom("S", {Term::Var("x"), Term::Var("y")})})});
-
-  FormulaManager seq_mgr;
-  auto seq = BuildUcqLineage(ucq, db, &seq_mgr, GroundingOptions{});
-  ASSERT_TRUE(seq.ok());
-
-  ThreadPool pool(4);
-  ExecContext ctx(&pool);
-  GroundingOptions par_options;
-  par_options.exec = &ctx;
-  par_options.parallel_min_rows = 1;
-  par_options.parallel_min_matches = 1;
-  FormulaManager par_mgr;
-  auto par = BuildUcqLineage(ucq, db, &par_mgr, par_options);
-  ASSERT_TRUE(par.ok());
-
-  // Structural bit-identity: same root id in managers with identical node
-  // counts and an identical variable table means the two managers hold the
-  // very same DAG — every downstream computation (DPLL included) is then
-  // identical by construction.
-  EXPECT_EQ(par->root, seq->root);
-  EXPECT_EQ(par_mgr.NumNodes(), seq_mgr.NumNodes());
-  ASSERT_EQ(par->vars.size(), seq->vars.size());
-  for (size_t i = 0; i < par->vars.size(); ++i) {
-    EXPECT_EQ(par->vars[i].relation, seq->vars[i].relation);
-    EXPECT_EQ(par->vars[i].row, seq->vars[i].row);
+// The oracle lineage: BuildUcqLineage's construction (first-use VarId
+// numbering, one AND term per match, certain tuples dropped, one OR per
+// disjunct) driven by the reference matcher's match stream instead of the
+// compiled executor.
+Lineage OracleLineage(const Ucq& ucq, const Database& db,
+                      FormulaManager* mgr) {
+  Lineage out;
+  std::map<std::pair<std::string, size_t>, VarId> ids;
+  std::vector<NodeId> disjuncts;
+  for (const ConjunctiveQuery& cq : ucq.disjuncts()) {
+    std::vector<NodeId> terms;
+    PDB_CHECK(EnumerateCqMatchesReference(cq, db, [&](const CqMatch& m) {
+                std::vector<NodeId> lits;
+                for (const LineageVar& lv : m.atom_rows) {
+                  double p = db.Get(lv.relation).value()->prob(lv.row);
+                  if (p == 1.0) continue;
+                  auto [it, inserted] = ids.try_emplace(
+                      {lv.relation, lv.row},
+                      static_cast<VarId>(out.vars.size()));
+                  if (inserted) {
+                    out.vars.push_back(lv);
+                    out.probs.push_back(p);
+                  }
+                  lits.push_back(mgr->Var(it->second));
+                }
+                terms.push_back(mgr->And(lits));
+              }).ok());
+    disjuncts.push_back(mgr->Or(std::move(terms)));
   }
-  EXPECT_EQ(par->probs, seq->probs);
-
-  ExecReport report = ctx.Report();
-  EXPECT_GT(report.lineage_matches, 0u);
-  EXPECT_GT(report.lineage_nodes, 0u);
+  out.root = mgr->Or(std::move(disjuncts));
+  return out;
 }
 
-// Random UCQs through the parallel path agree with sequential on the exact
-// probability across many seeds.
-TEST(ParallelLineage, RandomUcqsBitIdentical) {
-  ThreadPool pool(3);
-  for (uint64_t seed = 0; seed < 25; ++seed) {
-    Rng rng(seed * 31 + 5);
-    Database db = RandomVocabularyDb(&rng);
-    Ucq ucq = RandomUcq(&rng);
-
-    FormulaManager seq_mgr;
-    auto seq = BuildUcqLineage(ucq, db, &seq_mgr, GroundingOptions{});
-    ASSERT_TRUE(seq.ok());
-
-    ExecContext ctx(&pool);
-    GroundingOptions par_options;
-    par_options.exec = &ctx;
-    par_options.parallel_min_rows = 1;
-    par_options.parallel_min_matches = 1;
-    FormulaManager par_mgr;
-    auto par = BuildUcqLineage(ucq, db, &par_mgr, par_options);
-    ASSERT_TRUE(par.ok());
-
-    EXPECT_EQ(par->root, seq->root) << "seed " << seed;
-    EXPECT_EQ(par_mgr.NumNodes(), seq_mgr.NumNodes()) << "seed " << seed;
-    EXPECT_EQ(par->probs, seq->probs) << "seed " << seed;
+// Same root id in managers with identical node counts and an identical
+// variable table means the two managers hold the very same DAG — every
+// downstream computation (DPLL included) is then identical by
+// construction.
+void ExpectSameLineage(const Lineage& got, const FormulaManager& got_mgr,
+                       const Lineage& want, const FormulaManager& want_mgr) {
+  EXPECT_EQ(got.root, want.root);
+  EXPECT_EQ(got_mgr.NumNodes(), want_mgr.NumNodes());
+  ASSERT_EQ(got.vars.size(), want.vars.size());
+  for (size_t i = 0; i < got.vars.size(); ++i) {
+    EXPECT_EQ(got.vars[i].relation, want.vars[i].relation);
+    EXPECT_EQ(got.vars[i].row, want.vars[i].row);
   }
+  EXPECT_EQ(got.probs, want.probs);
 }
 
-// Past the columnar row threshold the vectorized path is the default.
-// Sequential-columnar, parallel-columnar, and the forced row path must all
-// build the very same lineage DAG — same root, same node count, same
-// variable table, same probabilities — on a self-join that exercises the
-// cross-column code translation tables.
-TEST(ColumnarLineage, BitIdenticalAcrossPathsAndParallelism) {
+// A self-join that exercises the cross-column code translation tables:
+// the compiled lineage DAG is node-for-node the oracle's.
+TEST(ColumnarLineage, BitIdenticalToOracleLineage) {
   Database db = BigChainDatabase(96);
   Ucq ucq({ConjunctiveQuery(
       {Atom("R", {Term::Var("x")}),
        Atom("S", {Term::Var("x"), Term::Var("y")}),
        Atom("S", {Term::Var("y"), Term::Var("z")})})});
+  FormulaManager oracle_mgr;
+  Lineage oracle = OracleLineage(ucq, db, &oracle_mgr);
+  ExecContext ctx;
+  GroundingOptions options;
+  options.exec = &ctx;
+  FormulaManager mgr;
+  auto lineage = BuildUcqLineage(ucq, db, &mgr, options);
+  ASSERT_TRUE(lineage.ok());
+  ExpectSameLineage(*lineage, mgr, oracle, oracle_mgr);
+  ExecReport report = ctx.Report();
+  EXPECT_GT(report.lineage_matches, 0u);
+  EXPECT_GT(report.lineage_nodes, 0u);
+}
 
-  FormulaManager row_mgr;
-  GroundingOptions row_options;
-  row_options.columnar = ColumnarMode::kNever;
-  auto row = BuildUcqLineage(ucq, db, &row_mgr, row_options);
-  ASSERT_TRUE(row.ok());
-
-  FormulaManager col_mgr;
-  GroundingOptions col_options;
-  col_options.columnar = ColumnarMode::kAlways;
-  auto col = BuildUcqLineage(ucq, db, &col_mgr, col_options);
-  ASSERT_TRUE(col.ok());
-
-  ThreadPool pool(4);
-  ExecContext ctx(&pool);
-  GroundingOptions par_options = col_options;
-  par_options.exec = &ctx;
-  par_options.parallel_min_rows = 1;
-  par_options.parallel_min_matches = 1;
-  FormulaManager par_mgr;
-  auto par = BuildUcqLineage(ucq, db, &par_mgr, par_options);
-  ASSERT_TRUE(par.ok());
-
-  EXPECT_EQ(col->root, row->root);
-  EXPECT_EQ(col_mgr.NumNodes(), row_mgr.NumNodes());
-  ASSERT_EQ(col->vars.size(), row->vars.size());
-  for (size_t i = 0; i < col->vars.size(); ++i) {
-    EXPECT_EQ(col->vars[i].relation, row->vars[i].relation);
-    EXPECT_EQ(col->vars[i].row, row->vars[i].row);
+// Random UCQs (several disjuncts, shared variables across them): the
+// compiled lineage is node-for-node the oracle's on every seed.
+TEST(ColumnarLineage, RandomUcqsBitIdenticalToOracle) {
+  for (uint64_t seed = 0; seed < 25; ++seed) {
+    Rng rng(seed * 31 + 5);
+    Database db = RandomVocabularyDb(&rng);
+    Ucq ucq = RandomUcq(&rng);
+    SCOPED_TRACE(ucq.ToString());
+    FormulaManager oracle_mgr;
+    Lineage oracle = OracleLineage(ucq, db, &oracle_mgr);
+    FormulaManager mgr;
+    auto lineage = BuildUcqLineage(ucq, db, &mgr, GroundingOptions{});
+    ASSERT_TRUE(lineage.ok());
+    ExpectSameLineage(*lineage, mgr, oracle, oracle_mgr);
   }
-  EXPECT_EQ(col->probs, row->probs);
-  EXPECT_EQ(par->root, row->root);
-  EXPECT_EQ(par_mgr.NumNodes(), row_mgr.NumNodes());
-  EXPECT_EQ(par->probs, row->probs);
 }
 
 // A query constant absent from every dictionary takes the impossible
-// fast-path: zero matches, no crash, and the reference agrees.
+// fast-path: zero matches, no crash, the reference agrees, and the profile
+// names the reason.
 TEST(ColumnarGrounding, AbsentConstantYieldsNoMatches) {
   Database db = BigChainDatabase(64);
   ConjunctiveQuery cq({Atom("S", {Term::Const(Value(int64_t{-5})),
                                   Term::Var("y")})});
-  GroundingOptions columnar;
-  columnar.columnar = ColumnarMode::kAlways;
-  EXPECT_TRUE(Collect(cq, db, columnar).empty());
+  JoinProfile profile;
+  ExecContext ctx;
+  ctx.set_join_profile(&profile);
+  GroundingOptions options;
+  options.exec = &ctx;
+  EXPECT_TRUE(Collect(cq, db, options).empty());
   EXPECT_TRUE(CollectReference(cq, db).empty());
+  std::vector<JoinPlanProfile> plans = profile.plans();
+  ASSERT_EQ(plans.size(), 1u);
+  EXPECT_EQ(plans[0].fallback_reason,
+            "query constant absent from dictionary: zero matches");
+  EXPECT_EQ(plans[0].matches, 0u);
 }
 
 TEST(IndexCacheTest, BuildsOnceAndHitsAfterwards) {
@@ -313,12 +373,12 @@ TEST(IndexCacheTest, BuildsOnceAndHitsAfterwards) {
   const Relation* s = db.Get("S").value();
   IndexCache cache;
   bool built = false;
-  auto a = cache.GetOrBuild(*s, {0}, &built);
+  auto a = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
   EXPECT_TRUE(built);
-  auto b = cache.GetOrBuild(*s, {0}, &built);
+  auto b = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
   EXPECT_FALSE(built);
   EXPECT_EQ(a.get(), b.get());
-  auto c = cache.GetOrBuild(*s, {1}, &built);
+  auto c = cache.GetOrBuildColumnarIndex(*s, {1}, &built);
   EXPECT_TRUE(built);
   EXPECT_NE(a.get(), c.get());
   IndexCacheStats stats = cache.stats();
@@ -330,9 +390,9 @@ TEST(IndexCacheTest, BuildsOnceAndHitsAfterwards) {
 }
 
 // Columnar images and columnar code indexes are cached under their own
-// flavors: distinct from hash-index entries over the same (relation,
-// columns), hit on re-request, and reattached to the relation's own
-// sidecar after a Clear (the image is not rebuilt from scratch).
+// flavors: an index per key-column list, hit on re-request, and the image
+// reattached to the relation's own sidecar after a Clear (it is not
+// rebuilt from scratch).
 TEST(IndexCacheTest, ColumnarFlavorsCachedIndependently) {
   Rng rng(6);
   Database db = RandomVocabularyDb(&rng);
@@ -349,9 +409,9 @@ TEST(IndexCacheTest, ColumnarFlavorsCachedIndependently) {
   auto idx_again = cache.GetOrBuildColumnarIndex(*s, {0}, &built);
   EXPECT_FALSE(built);
   EXPECT_EQ(idx.get(), idx_again.get());
-  auto hash = cache.GetOrBuild(*s, {0}, &built);
-  EXPECT_TRUE(built);  // hash flavor over {0} is a separate entry
-  EXPECT_NE(hash.get(), nullptr);
+  auto other = cache.GetOrBuildColumnarIndex(*s, {1}, &built);
+  EXPECT_TRUE(built);  // another key-column list is a separate entry
+  EXPECT_NE(other.get(), idx.get());
   IndexCacheStats stats = cache.stats();
   EXPECT_EQ(stats.builds, 3u);
   EXPECT_EQ(stats.hits, 2u);
@@ -367,7 +427,7 @@ TEST(IndexCacheTest, ColumnarFlavorsCachedIndependently) {
     uint32_t code = cols.codes(0)[row];
     const uint32_t* rows = nullptr;
     size_t count = 0;
-    idx->Lookup(code, &rows, &count);
+    idx->Lookup(&code, &rows, &count);
     EXPECT_TRUE(std::find(rows, rows + count, row) != rows + count);
   }
 }
@@ -391,14 +451,15 @@ TEST(IndexCacheTest, ConcurrentClientsAndClears) {
         std::vector<size_t> cols =
             local.Bernoulli(0.5) ? std::vector<size_t>{0}
                                  : std::vector<size_t>{1};
-        auto index = cache.GetOrBuild(*rel, cols);
+        auto index = cache.GetOrBuildColumnarIndex(*rel, cols);
         // The shared_ptr keeps the index alive across concurrent clears.
         size_t row = local.Uniform(rel->size());
-        Tuple key = {rel->tuple(row)[cols[0]]};
-        const std::vector<size_t>& bucket = index->Lookup(key);
-        EXPECT_FALSE(bucket.empty());
-        EXPECT_TRUE(std::find(bucket.begin(), bucket.end(), row) !=
-                    bucket.end());
+        uint32_t code = cache.GetOrBuildColumnar(*rel)->codes(cols[0])[row];
+        const uint32_t* rows = nullptr;
+        size_t count = 0;
+        index->Lookup(&code, &rows, &count);
+        EXPECT_GT(count, 0u);
+        EXPECT_TRUE(std::find(rows, rows + count, row) != rows + count);
       }
     });
   }

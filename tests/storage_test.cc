@@ -136,19 +136,6 @@ TEST(RelationTest, IsDeterministic) {
   EXPECT_FALSE(rel.IsDeterministic());
 }
 
-TEST(HashIndexTest, LookupByKey) {
-  Relation rel("S", Schema::Anonymous(2));
-  ASSERT_TRUE(rel.AddTuple({Value(1), Value(10)}, 1).ok());
-  ASSERT_TRUE(rel.AddTuple({Value(1), Value(11)}, 1).ok());
-  ASSERT_TRUE(rel.AddTuple({Value(2), Value(12)}, 1).ok());
-  HashIndex index(rel, {0});
-  EXPECT_EQ(index.Lookup({Value(1)}).size(), 2u);
-  EXPECT_EQ(index.Lookup({Value(2)}).size(), 1u);
-  EXPECT_TRUE(index.Lookup({Value(3)}).empty());
-  HashIndex pair_index(rel, {0, 1});
-  EXPECT_EQ(pair_index.Lookup({Value(1), Value(11)}).size(), 1u);
-}
-
 // ---------------------------------------------------------------------------
 // ColumnarRelation
 // ---------------------------------------------------------------------------
@@ -215,15 +202,16 @@ TEST(ColumnarIndexTest, SingleColumnCsrLookup) {
   ASSERT_TRUE(rel.AddTuple({Value(2), Value(12)}, 1).ok());
   auto cols = ColumnarRelation::Build(rel);
   ColumnarIndex index(cols, {0});
-  EXPECT_FALSE(index.composite_overflow());
   const uint32_t* rows = nullptr;
   size_t count = 0;
-  index.Lookup(cols->CodeOf(0, Value(1)), &rows, &count);
+  uint32_t key = cols->CodeOf(0, Value(1));
+  index.Lookup(&key, &rows, &count);
   ASSERT_EQ(count, 1u);
   EXPECT_EQ(rows[0], 1u);
-  index.Lookup(cols->CodeOf(0, Value(2)), &rows, &count);
+  key = cols->CodeOf(0, Value(2));
+  index.Lookup(&key, &rows, &count);
   ASSERT_EQ(count, 2u);
-  EXPECT_EQ(rows[0], 0u);  // bucket rows ascend, matching HashIndex
+  EXPECT_EQ(rows[0], 0u);  // bucket rows ascend
   EXPECT_EQ(rows[1], 2u);
 }
 
@@ -235,19 +223,128 @@ TEST(ColumnarIndexTest, CompositeKeyLookup) {
   ASSERT_TRUE(rel.AddTuple({Value(1), Value(10), Value(1)}, 1).ok());
   auto cols = ColumnarRelation::Build(rel);
   ColumnarIndex index(cols, {0, 1});
-  EXPECT_FALSE(index.composite_overflow());
-  uint64_t code = index.radix(0) * cols->CodeOf(0, Value(1)) +
-                  index.radix(1) * cols->CodeOf(1, Value(10));
+  const uint32_t key[] = {cols->CodeOf(0, Value(1)),
+                          cols->CodeOf(1, Value(10))};
   const uint32_t* rows = nullptr;
   size_t count = 0;
-  index.Lookup(code, &rows, &count);
+  index.Lookup(key, &rows, &count);
   ASSERT_EQ(count, 2u);
   EXPECT_EQ(rows[0], 0u);
   EXPECT_EQ(rows[1], 3u);
-  // A composite code nobody has resolves to the empty span.
-  uint64_t absent = index.radix(0) * cols->CodeOf(0, Value(2)) +
-                    index.radix(1) * cols->CodeOf(1, Value(11));
+  // A key tuple nobody has resolves to the empty span.
+  const uint32_t absent[] = {cols->CodeOf(0, Value(2)),
+                             cols->CodeOf(1, Value(11))};
   index.Lookup(absent, &rows, &count);
+  EXPECT_EQ(count, 0u);
+}
+
+// Lookup against a scan of the code columns, over random relations and
+// key-column lists (any order, 2 to 6 columns). Some columns have a few
+// values, so keys repeat; others up to 4096, so six of them pass 2^64
+// and the table's hash wraps. Every row's key and random code tuples
+// (mostly absent) must return exactly the scanned rows, ascending.
+TEST(ColumnarIndexTest, RandomKeysMatchScan) {
+  for (uint64_t seed = 0; seed < 40; ++seed) {
+    Rng rng(seed);
+    const size_t arity = 2 + rng.Uniform(5);
+    const size_t num_rows = 1 + rng.Uniform(seed % 4 == 0 ? 4096 : 300);
+    std::vector<int64_t> range(arity);
+    for (int64_t& r : range) {
+      r = rng.Uniform(2) == 0 ? static_cast<int64_t>(1 + rng.Uniform(4))
+                              : int64_t{1} << 20;
+    }
+    Relation rel("R", Schema::Anonymous(arity));
+    for (size_t i = 0; i < num_rows; ++i) {
+      Tuple t;
+      for (size_t c = 0; c < arity; ++c) {
+        t.push_back(Value(static_cast<int64_t>(rng.Uniform(range[c]))));
+      }
+      if (!rel.Contains(t)) ASSERT_TRUE(rel.AddTuple(std::move(t), 1).ok());
+    }
+    auto cols = ColumnarRelation::Build(rel);
+    std::vector<size_t> key_cols(arity);
+    for (size_t c = 0; c < arity; ++c) key_cols[c] = c;
+    for (size_t i = arity; i > 1; --i) {
+      std::swap(key_cols[i - 1], key_cols[rng.Uniform(i)]);
+    }
+    key_cols.resize(2 + rng.Uniform(arity - 1));
+    ColumnarIndex index(cols, key_cols);
+    EXPECT_EQ(index.num_buckets(), DistinctComposite(*cols, key_cols));
+    std::vector<uint32_t> key(key_cols.size());
+    for (size_t probe = 0; probe < rel.size() + 200; ++probe) {
+      for (size_t p = 0; p < key_cols.size(); ++p) {
+        const size_t col = key_cols[p];
+        key[p] = probe < rel.size()
+                     ? cols->codes(col)[probe]
+                     : static_cast<uint32_t>(rng.Uniform(cols->distinct(col)));
+      }
+      std::vector<uint32_t> expected;
+      for (uint32_t row = 0; row < rel.size(); ++row) {
+        bool match = true;
+        for (size_t p = 0; p < key_cols.size(); ++p) {
+          match = match && cols->codes(key_cols[p])[row] == key[p];
+        }
+        if (match) expected.push_back(row);
+      }
+      const uint32_t* rows = nullptr;
+      size_t count = 0;
+      index.Lookup(key.data(), &rows, &count);
+      ASSERT_EQ(std::vector<uint32_t>(rows, rows + count), expected)
+          << "seed " << seed << " probe " << probe;
+    }
+  }
+}
+
+// Sixteen key columns with 17 distinct values each: 17^16 > 2^64, too
+// wide for any 64-bit composite code; the index and the distinct count
+// work on the code tuples themselves. Every row's own key finds a bucket
+// that holds it, whose rows all share that key and ascend; the duplicated
+// keys form two-row buckets; a tuple no row has finds nothing.
+TEST(ColumnarIndexTest, WideKeyBucketsByCodeTuple) {
+  constexpr int64_t kPrime = 17;
+  constexpr size_t kKeyCols = 16;
+  Relation rel("W", Schema::Anonymous(kKeyCols + 1));
+  for (int64_t copy = 0; copy < 2; ++copy) {
+    for (int64_t i = 0; i < kPrime; ++i) {
+      if (copy == 1 && i % 2 == 1) continue;
+      Tuple t;
+      // (i * (c + 1)) mod 17 permutes 0..16 in every column.
+      for (size_t c = 0; c < kKeyCols; ++c) {
+        t.push_back(Value(i * static_cast<int64_t>(c + 1) % kPrime));
+      }
+      t.push_back(Value(copy));  // non-key column keeps tuples distinct
+      ASSERT_TRUE(rel.AddTuple(std::move(t), 1).ok());
+    }
+  }
+  auto cols = ColumnarRelation::Build(rel);
+  std::vector<size_t> key_cols(kKeyCols);
+  for (size_t c = 0; c < kKeyCols; ++c) key_cols[c] = c;
+  EXPECT_EQ(DistinctComposite(*cols, key_cols), static_cast<size_t>(kPrime));
+  ColumnarIndex index(cols, key_cols);
+  EXPECT_EQ(index.num_buckets(), static_cast<size_t>(kPrime));
+  std::vector<uint32_t> key(kKeyCols);
+  for (size_t row = 0; row < rel.size(); ++row) {
+    for (size_t c = 0; c < kKeyCols; ++c) key[c] = cols->codes(c)[row];
+    const uint32_t* rows = nullptr;
+    size_t count = 0;
+    index.Lookup(key.data(), &rows, &count);
+    ASSERT_TRUE(std::find(rows, rows + count, row) != rows + count);
+    EXPECT_TRUE(std::is_sorted(rows, rows + count));
+    const bool even = rel.tuple(row)[0].AsInt() % 2 == 0;
+    EXPECT_EQ(count, even ? 2u : 1u) << "row " << row;
+    for (size_t i = 0; i < count; ++i) {
+      for (size_t c = 0; c < kKeyCols; ++c) {
+        EXPECT_EQ(cols->codes(c)[rows[i]], key[c]);
+      }
+    }
+  }
+  // Row 1's key with its last part taken from row 2: each part code
+  // exists, the tuple does not.
+  for (size_t c = 0; c < kKeyCols; ++c) key[c] = cols->codes(c)[1];
+  key[kKeyCols - 1] = cols->codes(kKeyCols - 1)[2];
+  const uint32_t* rows = nullptr;
+  size_t count = 7;
+  index.Lookup(key.data(), &rows, &count);
   EXPECT_EQ(count, 0u);
 }
 

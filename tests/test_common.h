@@ -1,14 +1,18 @@
 /// \file test_common.h
-/// \brief Shared fixtures: the paper's Figure 1 database, random TIDs, and
-/// cross-implementation probability helpers.
+/// \brief Shared fixtures: the paper's Figure 1 database, random TIDs,
+/// cross-implementation probability helpers, and the reference CQ matcher
+/// the compiled grounding engine is checked against.
 
 #ifndef PDB_TESTS_TEST_COMMON_H_
 #define PDB_TESTS_TEST_COMMON_H_
 
+#include <functional>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "boolean/lineage.h"
 #include "logic/cq.h"
 #include "storage/database.h"
 #include "util/check.h"
@@ -183,6 +187,82 @@ inline Database RandomSelfJoinFreeDb(Rng* rng) {
   AddRandomRelation(&db, "W", 2, rng, options);
   PDB_CHECK(db.CreateRelation("Z", Schema::Anonymous(2, ValueType::kInt)).ok());
   return db;
+}
+
+/// The naive backtracking CQ matcher, the oracle for the compiled join
+/// engine: joins atoms in syntactic order, binds variables through a
+/// name-keyed map, and scans every row of each atom's relation, keeping the
+/// rows that agree with the constants and the bindings so far. It emits
+/// matches in the lexicographic order of the per-atom row vector, which is
+/// the order `EnumerateCqMatches` promises.
+class ReferenceCqMatcher {
+ public:
+  ReferenceCqMatcher(const ConjunctiveQuery& cq, const Database& db)
+      : cq_(cq), db_(db) {}
+
+  Status Run(const std::function<void(const CqMatch&)>& callback) {
+    const auto& atoms = cq_.atoms();
+    relations_.resize(atoms.size());
+    for (size_t i = 0; i < atoms.size(); ++i) {
+      PDB_ASSIGN_OR_RETURN(relations_[i], db_.Get(atoms[i].predicate));
+      if (relations_[i]->arity() != atoms[i].arity()) {
+        return Status::InvalidArgument("arity mismatch");
+      }
+    }
+    match_.atom_rows.resize(atoms.size());
+    Recurse(0, callback);
+    return Status::OK();
+  }
+
+ private:
+  void Recurse(size_t atom_idx,
+               const std::function<void(const CqMatch&)>& callback) {
+    if (atom_idx == cq_.atoms().size()) {
+      callback(match_);
+      return;
+    }
+    const Atom& atom = cq_.atoms()[atom_idx];
+    const Relation& rel = *relations_[atom_idx];
+    for (size_t row = 0; row < rel.size(); ++row) {
+      const Tuple& tuple = rel.tuple(row);
+      // Check constants and bound variables; bind the free ones (a
+      // variable repeated within the atom is bound by its first column).
+      std::vector<std::string> newly_bound;
+      bool ok = true;
+      for (size_t j = 0; j < atom.args.size() && ok; ++j) {
+        const Term& t = atom.args[j];
+        if (t.is_constant()) {
+          ok = t.constant() == tuple[j];
+          continue;
+        }
+        auto it = env_.find(t.var());
+        if (it == env_.end()) {
+          env_.emplace(t.var(), tuple[j]);
+          newly_bound.push_back(t.var());
+        } else {
+          ok = it->second == tuple[j];
+        }
+      }
+      if (ok) {
+        match_.atom_rows[atom_idx] = {atom.predicate, row};
+        Recurse(atom_idx + 1, callback);
+      }
+      for (const std::string& v : newly_bound) env_.erase(v);
+    }
+  }
+
+  const ConjunctiveQuery& cq_;
+  const Database& db_;
+  std::vector<const Relation*> relations_;
+  std::map<std::string, Value> env_;
+  CqMatch match_;
+};
+
+inline Status EnumerateCqMatchesReference(
+    const ConjunctiveQuery& cq, const Database& db,
+    const std::function<void(const CqMatch&)>& callback) {
+  ReferenceCqMatcher matcher(cq, db);
+  return matcher.Run(callback);
 }
 
 }  // namespace pdb::testing

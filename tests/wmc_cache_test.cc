@@ -33,27 +33,28 @@ TEST(FormulaSignatureTest, StableAcrossBuildOrder) {
   EXPECT_EQ(a.SignatureOf(fa), b.SignatureOf(fb));
 }
 
-TEST(FormulaSignatureTest, StableAcrossExport) {
-  FormulaManager src;
-  // Unrelated nodes first: they shift every later NodeId, so the compact
-  // clone below lands on different ids than the source.
-  src.And(src.Var(40), src.Var(41));
-  Rng rng(11);
-  std::vector<NodeId> terms;
-  for (int t = 0; t < 6; ++t) {
-    std::vector<NodeId> lits;
-    for (int l = 0; l < 3; ++l) {
-      NodeId v = src.Var(static_cast<VarId>(rng.Uniform(10)));
-      lits.push_back(rng.Bernoulli(0.3) ? src.Not(v) : v);
+TEST(FormulaSignatureTest, StableAcrossInterningHistory) {
+  // The same random DNF built in two managers: `src` interns unrelated
+  // nodes first, which shifts every later NodeId, so the two copies land
+  // on different ids.
+  auto build = [](FormulaManager* m) {
+    Rng rng(11);
+    std::vector<NodeId> terms;
+    for (int t = 0; t < 6; ++t) {
+      std::vector<NodeId> lits;
+      for (int l = 0; l < 3; ++l) {
+        NodeId v = m->Var(static_cast<VarId>(rng.Uniform(10)));
+        lits.push_back(rng.Bernoulli(0.3) ? m->Not(v) : v);
+      }
+      terms.push_back(m->And(std::move(lits)));
     }
-    terms.push_back(src.And(std::move(lits)));
-  }
-  NodeId f = src.Or(std::move(terms));
-
-  // ExportTo requires a pristine destination (terminals only); the clone
-  // renumbers the reachable nodes densely, so ids differ from the source.
+    return m->Or(std::move(terms));
+  };
+  FormulaManager src;
+  src.And(src.Var(40), src.Var(41));
+  NodeId f = build(&src);
   FormulaManager dst;
-  NodeId g = src.ExportTo(f, &dst);
+  NodeId g = build(&dst);
   EXPECT_NE(f, g);
   EXPECT_EQ(src.SignatureOf(f), dst.SignatureOf(g));
 }
